@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CountrySetMismatchError, DomainError
+from .manifest import PILLARS
 from .pillar import FoiScores
 
 DEFAULT_THRESHOLD = 4.0
@@ -124,11 +125,11 @@ def classify_epoch(
     epsilon: float = DEFAULT_EPSILON,
 ) -> list[ClusterAssignment]:
     """Classify every country of an epoch; output ordered by country code."""
-    out = []
-    for code in sorted(scores.countries):
-        f, o, i = scores.country_indices(code)
-        out.append(classify(f, o, i, threshold=threshold, epsilon=epsilon, country=code))
-    return out
+    f, o, i = (scores.index[p] for p in PILLARS)
+    return [
+        classify(float(f[k]), float(o[k]), float(i[k]), threshold=threshold, epsilon=epsilon, country=code)
+        for code, k in sorted((code, k) for k, code in enumerate(scores.countries))
+    ]
 
 
 def shift_report(

@@ -9,7 +9,6 @@ mismatches (only with ``--strict-verify``).
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 
@@ -52,7 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ingest", help="load a panel and report missing-data coverage")
     _add_panel_flags(sp)
-    _add_output_flags(sp)
+    sp.add_argument("--format", choices=("table", "json"), default="table")
+    sp.add_argument("--out", default="-", help="output path, '-' for stdout")
 
     sp = sub.add_parser("rescale", help="min-max rescale a panel to the 1-7 scale")
     _add_panel_flags(sp)
@@ -95,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     sp.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     sp.add_argument("--strict-verify", action="store_true", help="exit 3 when mismatches exist")
-    _add_output_flags(sp)
+    sp.add_argument("--format", choices=("table", "json"), default="table")
+    sp.add_argument("--out", default="-", help="output path, '-' for stdout")
 
     sp = sub.add_parser("export", help="re-render a previously emitted JSON result")
     sp.add_argument("--in", dest="infile", required=True, help="JSON file from indices/classify/shift")
@@ -128,36 +129,22 @@ def cmd_ingest(args) -> int:
         "missing_by_country": rep.missing_by_country,
         "warnings": list(rep.warnings),
     }
-    if args.format == "json":
-        text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
-    else:
+
+    def table():
         lines = [
             f"countries:  {payload['countries']}",
             f"indicators: {payload['indicators']}",
             f"coverage:   {rep.coverage:.4f}",
         ]
-        lines += [f"warning: {w}" for w in rep.warnings]
-        text = "\n".join(lines) + "\n"
-    report.write_text(text, args.out)
+        return lines + [f"warning: {w}" for w in rep.warnings]
+
+    report.write_text(report.render(args.format, payload, table), args.out)
     return EXIT_OK
 
 
 def cmd_rescale(args) -> int:
     manifest, panel = _load_inputs(args)
-    rescaled = rescale_panel(panel, manifest)
-    if args.out in (None, "-"):
-        buf = io.StringIO()
-        import csv as _csv
-
-        writer = _csv.writer(buf, lineterminator="\n")
-        writer.writerow(["country", *rescaled.indicators])
-        for i, code in enumerate(rescaled.countries):
-            writer.writerow(
-                [code, *["" if np.isnan(v) else repr(float(v)) for v in rescaled.values[i]]]
-            )
-        sys.stdout.write(buf.getvalue())
-    else:
-        write_panel(rescaled, args.out)
+    write_panel(rescale_panel(panel, manifest), args.out)
     return EXIT_OK
 
 
@@ -224,17 +211,17 @@ def cmd_verify(args) -> int:
             for m in rep.mismatches
         ],
     }
-    if args.format == "json":
-        text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
-    else:
+
+    def table():
         lines = [f"epoch {rep.epoch}: {rep.matches}/{rep.country_count} match the published clusters"]
         for m in rep.mismatches:
             kind = "borderline" if m.borderline else "hard"
             lines.append(
                 f"  {m.country}: computed {m.computed_cluster}, published {m.reference_cluster} ({kind})"
             )
-        text = "\n".join(lines) + "\n"
-    report.write_text(text, args.out)
+        return lines
+
+    report.write_text(report.render(args.format, payload, table), args.out)
     if args.strict_verify and rep.mismatches:
         return EXIT_VERIFY
     return EXIT_OK

@@ -10,7 +10,7 @@ class SchemaError(FoiError):
 
 
 class PanelParseError(FoiError):
-    """A panel cell could not be parsed as a number."""
+    """A CSV cell is not a finite number."""
 
     def __init__(self, message, row=None, column=None):
         super().__init__(message)

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.stats import chi2
 
 from .errors import DomainError, SingularMatrixError, UndefinedStatisticError
+from .panel import _read_grid
 
 VARIMAX_TOL = 1e-12
 VARIMAX_MAX_SWEEPS = 1000
@@ -61,6 +63,17 @@ class CorrelationMatrix:
     @property
     def p(self) -> int:
         return len(self.variables)
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """R^-1, computed once per matrix and shared by the anti-image
+        correlations and the factor-score weights."""
+        try:
+            inv = np.linalg.inv(self.values)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError("correlation matrix is singular") from exc
+        inv.setflags(write=False)
+        return inv
 
 
 @dataclass(frozen=True)
@@ -153,10 +166,7 @@ def anti_image_correlations(r: CorrelationMatrix) -> np.ndarray:
         # with no third variable to partial out, the partial correlation
         # is the raw one; bypass the inverse to keep the identity exact
         return np.array(r.values)
-    try:
-        inv = np.linalg.inv(r.values)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("correlation matrix is singular") from exc
+    inv = r.inverse
     d = np.sqrt(np.diag(inv))
     q = -inv / np.outer(d, d)
     np.fill_diagonal(q, 1.0)
@@ -328,10 +338,6 @@ def factor_scores(
     a missing cell among the analysis variables gets a ``nan`` score
     vector. Score columns are centered on the complete rows.
     """
-    try:
-        rinv = np.linalg.inv(r.values)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("correlation matrix is singular") from exc
     grid = data.values
     complete = (~np.isnan(grid)).all(axis=1)
     if not complete.any():
@@ -342,7 +348,7 @@ def factor_scores(
     if (sd == 0.0).any():
         j = int(np.flatnonzero(sd == 0.0)[0])
         raise DomainError(f"variable {data.variables[j]!r} is constant on complete rows")
-    weights = rinv @ np.asarray(rotated_loadings, dtype=float)
+    weights = r.inverse @ np.asarray(rotated_loadings, dtype=float)
     scores = np.full((grid.shape[0], weights.shape[1]), np.nan)
     scores[complete] = ((base - mu) / sd) @ weights
     return scores
@@ -364,10 +370,12 @@ def fit_factor_model(
     n = data.n if missing == "listwise" else int(r.pair_counts.min())
     bart = bartlett_test(r, n)
     kmo = kmo_statistic(r)
-    _, eigvals = pca_extract(r, 1)
+    all_loadings, eigvals = pca_extract(r, r.p)
     if auto_k:
         k = max(kaiser_count(eigvals), 1)
-    loadings, eigvals = pca_extract(r, k)
+    if not (1 <= k <= r.p):
+        raise DomainError(f"k must be in [1, {r.p}], got {k}")
+    loadings = all_loadings[:, :k]
     rotated, rotation, _, converged = varimax_rotate(
         loadings, kaiser_normalize=kaiser_normalize, variables=data.variables
     )
@@ -425,45 +433,10 @@ def synthesize_known_factors(
 
 
 def load_variable_matrix(path) -> VariableMatrix:
-    """Read a ``country,<variable ids...>`` CSV; empty cells are missing."""
-    import csv
-
-    from .errors import PanelParseError, SchemaError
-
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        if not header or header[0].strip().lower() != "country":
-            raise SchemaError(f"{path}: first header column must be 'country'")
-        variables = tuple(h.strip() for h in header[1:])
-        rows: list[str] = []
-        grid: list[list[float]] = []
-        for lineno, rec in enumerate(reader, start=1):
-            if not rec or all(not c.strip() for c in rec):
-                continue
-            rows.append(rec[0].strip())
-            parsed = []
-            for col, cell in zip(variables, rec[1:]):
-                cell = cell.strip()
-                if not cell:
-                    parsed.append(float("nan"))
-                    continue
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise PanelParseError(
-                        f"{path}: row {lineno}, column {col!r}: cannot parse {cell!r}",
-                        row=lineno,
-                        column=col,
-                    ) from None
-            if len(parsed) != len(variables):
-                raise SchemaError(f"{path}: row {lineno} has {len(parsed)} cells, expected {len(variables)}")
-            grid.append(parsed)
-    values = np.array(grid, dtype=float) if grid else np.empty((0, len(variables)))
-    return VariableMatrix(rows=tuple(rows), variables=variables, values=values)
+    """Read a ``country,<variable ids...>`` CSV with the same checks and
+    missing-value rule as ``panel.load_panel``; empty cells are missing."""
+    variables, rows, values = _read_grid(path)
+    return VariableMatrix(rows=tuple(rows), variables=tuple(variables), values=values)
 
 
 def congruence(a: np.ndarray, b: np.ndarray) -> float:

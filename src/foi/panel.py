@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DuplicateCountryError, PanelParseError, SchemaError
 from .manifest import IndicatorManifest
-
-MISSING = float("nan")
-
 
 @dataclass(frozen=True)
 class IndicatorPanel:
@@ -67,83 +66,105 @@ class ValidationReport:
     warnings: tuple[str, ...] = ()
 
 
-def load_panel(panel_csv, manifest: IndicatorManifest, epoch: int = 0) -> IndicatorPanel:
-    """Read a ``country,<indicator ids...>`` CSV into a panel.
-
-    Empty cells become missing. Column order in the result follows the
-    manifest regardless of the file's column order.
-
-    Raises
-    ------
-    SchemaError
-        If the header names a column absent from the manifest.
-    DuplicateCountryError
-        If a country code appears twice.
-    PanelParseError
-        If a non-empty cell is not a decimal number; carries the 1-based
-        data row and the column name.
-    """
-    with open(panel_csv, newline="", encoding="utf-8") as fh:
+def _read_grid(path) -> tuple[list[str], list[str], np.ndarray]:
+    """Parse a ``country,<column ids...>`` CSV into column ids, row codes
+    and a float grid, with the checks listed under ``load_panel``. The
+    one CSV reader of the package: ``factor.load_variable_matrix`` uses
+    it too."""
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise SchemaError(f"{panel_csv}: empty file") from None
+            raise SchemaError(f"{path}: empty file") from None
         if not header or header[0].strip().lower() != "country":
-            raise SchemaError(f"{panel_csv}: first header column must be 'country'")
-        file_cols = [h.strip() for h in header[1:]]
-        known = set(manifest.ids)
-        for col in file_cols:
-            if col not in known:
-                raise SchemaError(f"{panel_csv}: unknown indicator column {col!r}")
-        if len(set(file_cols)) != len(file_cols):
-            raise SchemaError(f"{panel_csv}: duplicate indicator columns")
+            raise SchemaError(f"{path}: first header column must be 'country'")
+        columns = [h.strip() for h in header[1:]]
+        if len(set(columns)) != len(columns):
+            raise SchemaError(f"{path}: duplicate columns")
 
-        countries: list[str] = []
-        rows: list[list[float]] = []
+        codes: list[str] = []
+        seen: set[str] = set()
+        rows: list[np.ndarray] = []
         for lineno, rec in enumerate(reader, start=1):
             if not rec or all(not c.strip() for c in rec):
                 continue
             code = rec[0].strip()
-            if code in countries:
-                raise DuplicateCountryError(f"{panel_csv}: duplicate country row {code!r}")
-            if len(rec) != len(file_cols) + 1:
+            if code in seen:
+                raise DuplicateCountryError(f"{path}: duplicate country row {code!r}")
+            if len(rec) != len(columns) + 1:
                 raise SchemaError(
-                    f"{panel_csv}: row {lineno} ({code}) has {len(rec) - 1} cells, expected {len(file_cols)}"
+                    f"{path}: row {lineno} ({code}) has {len(rec) - 1} cells, expected {len(columns)}"
                 )
-            parsed = []
-            for col, cell in zip(file_cols, rec[1:]):
-                cell = cell.strip()
-                if cell == "":
-                    parsed.append(MISSING)
-                    continue
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise PanelParseError(
-                        f"{panel_csv}: row {lineno} ({code}), column {col!r}: "
-                        f"cannot parse {cell!r} as a number",
-                        row=lineno,
-                        column=col,
-                    ) from None
-            countries.append(code)
-            rows.append(parsed)
+            cells = [c.strip() or "nan" for c in rec[1:]]
+            try:
+                row = np.array(cells, dtype=float)
+                bad = np.flatnonzero(np.isinf(row))
+            except ValueError:
+                bad = [j for j, cell in enumerate(cells) if not _is_number(cell)]
+            if len(bad):
+                col, cell = columns[bad[0]], cells[bad[0]]
+                raise PanelParseError(
+                    f"{path}: row {lineno} ({code}), column {col!r}: "
+                    f"cannot parse {cell!r} as a finite number",
+                    row=lineno,
+                    column=col,
+                )
+            seen.add(code)
+            codes.append(code)
+            rows.append(row)
+    values = np.vstack(rows) if rows else np.empty((0, len(columns)))
+    return columns, codes, values
 
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def load_panel(panel_csv, manifest: IndicatorManifest, epoch: int = 0) -> IndicatorPanel:
+    """Read a ``country,<indicator ids...>`` CSV into a panel.
+
+    Blank lines are skipped. An empty cell or the literal ``nan`` is a
+    missing value. Column order in the result follows the manifest
+    regardless of the file's column order.
+
+    Raises
+    ------
+    SchemaError
+        If the file is empty, the first header column is not
+        ``country``, a column repeats or is absent from the manifest,
+        or a row has the wrong number of cells.
+    DuplicateCountryError
+        If a country code appears twice.
+    PanelParseError
+        If a non-empty cell is not a finite decimal number (``inf`` and
+        overflowing values like ``1e400`` included); carries the 1-based
+        data row and the column name.
+    """
+    columns, countries, raw = _read_grid(panel_csv)
+    known = set(manifest.ids)
+    for col in columns:
+        if col not in known:
+            raise SchemaError(f"{panel_csv}: unknown indicator column {col!r}")
     # keep the file's columns, reordered to manifest order
-    kept = [i for i in manifest.ids if i in file_cols]
-    raw = np.array(rows, dtype=float) if rows else np.empty((0, len(file_cols)))
-    grid = raw[:, [file_cols.index(i) for i in kept]] if kept else np.empty((len(countries), 0))
+    where = {col: j for j, col in enumerate(columns)}
+    kept = [i for i in manifest.ids if i in where]
+    grid = raw[:, [where[i] for i in kept]]
     return IndicatorPanel(epoch=epoch, countries=tuple(countries), indicators=tuple(kept), values=grid)
 
 
 def write_panel(panel: IndicatorPanel, path) -> None:
-    """Serialize a panel back to the CSV schema ``load_panel`` reads."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+    """Serialize a panel to the CSV schema ``load_panel`` reads, with
+    ``\\n`` line endings; ``-`` for ``path`` means standard output."""
+    with nullcontext(sys.stdout) if path == "-" else open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["country", *panel.indicators])
-        for i, code in enumerate(panel.countries):
-            cells = ["" if math.isnan(v) else repr(float(v)) for v in panel.values[i]]
-            writer.writerow([code, *cells])
+        for code, row in zip(panel.countries, panel.values.tolist()):
+            writer.writerow([code, *["" if math.isnan(v) else repr(v) for v in row]])
 
 
 def validate_panel(panel: IndicatorPanel) -> ValidationReport:

@@ -40,10 +40,6 @@ class FoiScores:
             if pillar not in self.index:
                 raise DomainError(f"missing pillar {pillar!r} in index map")
 
-    def country_indices(self, code: str) -> tuple[float, float, float]:
-        i = self.countries.index(code)
-        return tuple(float(self.index[p][i]) for p in PILLARS)
-
 
 def compute_pillar_scores(
     rescaled: IndicatorPanel,
@@ -75,16 +71,22 @@ def compute_pillar_scores(
             cnt = (~np.isnan(block)).sum(axis=1)
             total = np.nansum(block, axis=1)
             comp_vals[:, c] = np.where(cnt > 0, total / np.maximum(cnt, 1), np.nan)
-        out = np.full(n, np.nan)
         observed = ~np.isnan(comp_vals)
-        for i in range(n):
-            if missing_policy == "strict" and not observed[i].all():
-                continue
-            if not observed[i].any():
-                raise AggregationError(
-                    f"country {rescaled.countries[i]!r} has no observed components in pillar {pillar!r}"
-                )
-            out[i] = comp_vals[i, observed[i]].mean()
+        count = observed.sum(axis=1)
+        if missing_policy == "available_mean" and not count.all():
+            i = np.flatnonzero(count == 0)[0]
+            raise AggregationError(
+                f"country {rescaled.countries[i]!r} has no observed components in pillar {pillar!r}"
+            )
+        # observed components first, in manifest order, then one row-wise
+        # mean per observed count: the same sums, in the same order, as a
+        # per-country mean over the observed components
+        packed = np.take_along_axis(comp_vals, np.argsort(~observed, axis=1, kind="stable"), axis=1)
+        wanted = count == len(components) if missing_policy == "strict" else count > 0
+        out = np.full(n, np.nan)
+        for m in np.unique(count[wanted]):
+            rows = np.flatnonzero(wanted & (count == m))
+            out[rows] = packed[rows, :m].mean(axis=1)
         index[pillar] = out
     return FoiScores(epoch=rescaled.epoch, countries=rescaled.countries, index=index)
 

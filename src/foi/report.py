@@ -37,6 +37,25 @@ def _fmt_cell(value: float, rank: int | None) -> str:
     return f"{text} ({rank})" if rank is not None else text
 
 
+def render(fmt: str, payload: dict, table, fields=(), rows=()) -> str:
+    """Render one result: ``payload`` as JSON, ``rows`` as CSV under the
+    header ``fields``, or the lines returned by ``table()``.
+
+    A result without ``fields`` has no CSV form.
+    """
+    if fmt == "json":
+        return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    if fmt == "csv" and fields:
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        return buf.getvalue()
+    if fmt == "table":
+        return "\n".join(table()) + "\n"
+    raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
+
+
 def scores_to_rows(scores: FoiScores) -> list[dict]:
     rows = []
     for i, code in enumerate(scores.countries):
@@ -52,17 +71,8 @@ def scores_to_rows(scores: FoiScores) -> list[dict]:
 def render_scores(scores: FoiScores, fmt: str = "table") -> str:
     """Render pillar indices in one of the supported formats."""
     rows = scores_to_rows(scores)
-    if fmt == "json":
-        return json.dumps({"epoch": scores.epoch, "scores": rows}, indent=1, sort_keys=True) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        fields = ["country"] + [f"{p.lower()}_{k}" for p in PILLARS for k in ("index", "rank")]
-        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: ("" if row[k] is None else row[k]) for k in fields})
-        return buf.getvalue()
-    if fmt == "table":
+
+    def table():
         lines = [f"{'country':<10}" + "".join(f"{p + '-index':>12}" for p in PILLARS)]
         for row in rows:
             cells = [
@@ -73,8 +83,10 @@ def render_scores(scores: FoiScores, fmt: str = "table") -> str:
                 for p in PILLARS
             ]
             lines.append(f"{row['country']:<10}" + "".join(f"{c:>12}" for c in cells))
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
+        return lines
+
+    fields = ["country"] + [f"{p.lower()}_{k}" for p in PILLARS for k in ("index", "rank")]
+    return render(fmt, {"epoch": scores.epoch, "scores": rows}, table, fields, rows)
 
 
 def assignments_to_rows(assignments: list[ClusterAssignment]) -> list[dict]:
@@ -92,26 +104,19 @@ def assignments_to_rows(assignments: list[ClusterAssignment]) -> list[dict]:
 
 def render_assignments(assignments: list[ClusterAssignment], fmt: str = "table") -> str:
     rows = assignments_to_rows(assignments)
-    if fmt == "json":
-        return json.dumps({"assignments": rows}, indent=1, sort_keys=True) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(
-            buf, fieldnames=["country", "levels", "cluster", "label", "borderline"], lineterminator="\n"
-        )
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({**row, "borderline": ";".join(row["borderline"])})
-        return buf.getvalue()
-    if fmt == "table":
+
+    def table():
         lines = [f"{'country':<10}{'levels':<8}{'cluster':<9}{'label':<32}borderline"]
         for row in rows:
             lines.append(
                 f"{row['country']:<10}{row['levels']:<8}{row['cluster']:<9}"
                 f"{row['label']:<32}{','.join(row['borderline'])}"
             )
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
+        return lines
+
+    fields = ["country", "levels", "cluster", "label", "borderline"]
+    csv_rows = ({**row, "borderline": ";".join(row["borderline"])} for row in rows)
+    return render(fmt, {"assignments": rows}, table, fields, csv_rows)
 
 
 def render_shift(report: ShiftReport, fmt: str = "table") -> str:
@@ -133,17 +138,8 @@ def render_shift(report: ShiftReport, fmt: str = "table") -> str:
         "downward": [s.country for s in report.downward],
         "stayers": [s.country for s in report.stayers],
     }
-    if fmt == "json":
-        return json.dumps(payload, indent=1, sort_keys=True) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(
-            buf, fieldnames=["country", "from_cluster", "to_cluster", "delta_h"], lineterminator="\n"
-        )
-        writer.writeheader()
-        writer.writerows(rows)
-        return buf.getvalue()
-    if fmt == "table":
+
+    def table():
         lines = [f"{'country':<10}{'from':>6}{'to':>6}{'delta_H':>9}"]
         for row in rows:
             lines.append(
@@ -152,8 +148,9 @@ def render_shift(report: ShiftReport, fmt: str = "table") -> str:
         lines.append("")
         lines.append("upward:   " + ", ".join(payload["upward"]))
         lines.append("downward: " + ", ".join(payload["downward"]))
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
+        return lines
+
+    return render(fmt, payload, table, ["country", "from_cluster", "to_cluster", "delta_h"], rows)
 
 
 def factor_model_to_json(model: FactorModel) -> str:

@@ -137,3 +137,25 @@ def test_subcommands_deterministic(capsys, argv):
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv", [("ingest", "--panel", PANEL_2020), ("verify", "--epoch", "2020")]
+)
+def test_csv_format_rejected_where_there_is_no_csv_form(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "csv"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
+def test_infinite_cell_is_input_error(capsys, tmp_path):
+    lines = open(PANEL_2020, encoding="utf-8").read().splitlines()
+    cells = lines[3].split(",")
+    cells[5] = "inf"
+    lines[3] = ",".join(cells)
+    path = tmp_path / "panel.csv"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "indices", "--panel", str(path))
+    assert code == 1 and not out
+    assert "row 3" in err and lines[0].split(",")[5] in err

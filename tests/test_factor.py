@@ -1,9 +1,17 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from foi.errors import DomainError, SingularMatrixError, UndefinedStatisticError
+from foi.errors import (
+    DomainError,
+    DuplicateCountryError,
+    PanelParseError,
+    SchemaError,
+    SingularMatrixError,
+    UndefinedStatisticError,
+)
 from foi.factor import (
     CorrelationMatrix,
     VariableMatrix,
@@ -14,12 +22,15 @@ from foi.factor import (
     fit_factor_model,
     kaiser_count,
     kmo_statistic,
+    load_variable_matrix,
     pca_extract,
     synthesize_known_factors,
     variance_explained,
     varimax_criterion,
     varimax_rotate,
 )
+
+FA_PANEL = resources.files("foi.data") / "demo_fa_panel.csv"
 
 
 def vm(values, rows=None, variables=None):
@@ -427,3 +438,49 @@ def test_fit_factor_model_fields():
     assert 0.0 < model.variance_explained <= 1.0
     assert model.bartlett.df == 15
     assert model.scores.shape == (120, 2)
+
+
+def test_fit_loadings_equal_direct_extraction_for_every_k():
+    data = load_variable_matrix(FA_PANEL)
+    r = correlation_matrix(data)
+    for k in range(1, r.p + 1):
+        model = fit_factor_model(data, k=k)
+        assert model.loadings.tobytes() == np.ascontiguousarray(pca_extract(r, k)[0]).tobytes()
+
+
+@pytest.mark.parametrize("k", (0, 7))
+def test_fit_rejects_k_out_of_range(k):
+    data, _ = synthesize_known_factors(p=6, k=2, n=120, seed=11)
+    with pytest.raises(DomainError, match="k must be"):
+        fit_factor_model(data, k=k)
+
+
+def write_csv(tmp_path, text):
+    path = tmp_path / "vars.csv"
+    path.write_text(text)
+    return path
+
+
+def test_variable_matrix_row_with_extra_cell_is_schema_error(tmp_path):
+    path = write_csv(tmp_path, "country,a,b\nW,4,5\nX,1,2,3\n")
+    with pytest.raises(SchemaError, match="row 2"):
+        load_variable_matrix(path)
+
+
+def test_variable_matrix_duplicate_row_rejected(tmp_path):
+    path = write_csv(tmp_path, "country,a,b\nX,1,2\nX,3,4\n")
+    with pytest.raises(DuplicateCountryError, match="X"):
+        load_variable_matrix(path)
+
+
+def test_variable_matrix_duplicate_header_rejected(tmp_path):
+    path = write_csv(tmp_path, "country,a,a\nX,1,2\n")
+    with pytest.raises(SchemaError, match="duplicate"):
+        load_variable_matrix(path)
+
+
+def test_variable_matrix_infinite_cell_names_row_and_column(tmp_path):
+    path = write_csv(tmp_path, "country,a,b\nX,1,2\nY,-inf,4\n")
+    with pytest.raises(PanelParseError) as exc:
+        load_variable_matrix(path)
+    assert (exc.value.row, exc.value.column) == (2, "a")

@@ -127,3 +127,33 @@ def test_default_manifest_shape():
     assert len(manifest.pillar_ids("F")) == 9
     assert len(manifest.pillar_ids("O")) == 5
     assert len(manifest.pillar_ids("I")) == 10
+
+
+@pytest.mark.parametrize("cell", ("inf", "-inf", "Infinity", "1e400"))
+def test_infinite_cell_reports_coordinates(tmp_path, cell):
+    path = write(tmp_path, f"country,a,b\nAAA,1,2\nBBB,3,{cell}\n")
+    with pytest.raises(PanelParseError) as exc:
+        load_panel(path, TWO_COL)
+    assert (exc.value.row, exc.value.column) == (2, "b")
+
+
+def test_literal_nan_is_missing(tmp_path):
+    path = write(tmp_path, "country,a,b\nAAA,1,nan\nBBB,NaN,4\n")
+    panel = load_panel(path, TWO_COL)
+    assert np.isnan(panel.values).tolist() == [[False, True], [True, False]]
+
+
+def test_row_with_extra_cell_is_schema_error(tmp_path):
+    path = write(tmp_path, "country,a,b\nAAA,1,2,3\n")
+    with pytest.raises(SchemaError, match="row 1"):
+        load_panel(path, TWO_COL)
+
+
+def test_write_panel_to_stdout_uses_lf(capsys):
+    manifest = make_manifest()
+    grid = np.arange(12, dtype=float).reshape(2, 6)
+    grid[0, 1] = np.nan
+    write_panel(make_panel(manifest, grid), "-")
+    out = capsys.readouterr().out
+    assert out.splitlines(keepends=True)[1] == "C00,0.0,,2.0,3.0,4.0,5.0\n"
+    assert "\r" not in out

@@ -1,10 +1,21 @@
+import csv
+import re
+import tempfile
+from importlib import resources
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from foi.errors import AggregationError
-from foi.manifest import IndicatorManifest, IndicatorSpec
+from foi.manifest import IndicatorManifest, IndicatorSpec, default_manifest
+from foi.panel import load_panel
 from foi.pillar import compute_pillar_scores, rank_countries
 from foi.reference import load_fixture
+from foi.rescale import rescale_panel
 
 from conftest import make_manifest, make_panel
 
@@ -135,3 +146,90 @@ def test_published_rank_extremes():
     assert fx.index_rank(2020, "LUX", "O") == 1
     assert fx.index_rank(2020, "USA", "O") == 2
     assert fx.index_rank(2020, "CHE", "I") == 1
+
+
+def per_country_pillar_scores(rescaled, manifest, missing_policy):
+    """Reference aggregation: one Python mean per country and pillar."""
+    col_of = {ind: j for j, ind in enumerate(rescaled.indicators)}
+    index = {}
+    for pillar in "FOI":
+        components = manifest.pillar_components(pillar)
+        comp_vals = np.full((len(rescaled.countries), len(components)), np.nan)
+        for c, (_, members) in enumerate(components):
+            cols = [col_of[m] for m in members if m in col_of]
+            if not cols:
+                continue
+            block = rescaled.values[:, cols]
+            cnt = (~np.isnan(block)).sum(axis=1)
+            total = np.nansum(block, axis=1)
+            comp_vals[:, c] = np.where(cnt > 0, total / np.maximum(cnt, 1), np.nan)
+        out = np.full(len(rescaled.countries), np.nan)
+        observed = ~np.isnan(comp_vals)
+        for i in range(len(rescaled.countries)):
+            if missing_policy == "strict" and not observed[i].all():
+                continue
+            if not observed[i].any():
+                raise AggregationError(
+                    f"country {rescaled.countries[i]!r} has no observed components in pillar {pillar!r}"
+                )
+            out[i] = comp_vals[i, observed[i]].mean()
+        index[pillar] = out
+    return index
+
+
+@st.composite
+def grouped_panels(draw):
+    """A manifest whose indicators share components at random, and a
+    rescaled grid over it with random missing cells."""
+    specs = []
+    for pillar in "FOI":
+        for j in range(draw(st.integers(1, 7))):
+            group = draw(st.integers(0, 3))
+            specs.append(IndicatorSpec(f"{pillar}{j}", "x", pillar, "higher_is_better", "t", f"{pillar}g{group}"))
+    manifest = IndicatorManifest(tuple(specs))
+    shape = (draw(st.integers(1, 25)), len(specs))
+    grid = draw(hnp.arrays(float, shape, elements=st.floats(1.0, 7.0)))
+    missing_frac = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    grid[draw(hnp.arrays(float, shape, elements=st.floats(0.0, 1.0))) < missing_frac] = np.nan
+    return manifest, make_panel(manifest, grid)
+
+
+@settings(max_examples=200)
+@given(grouped_panels(), st.sampled_from(["available_mean", "strict"]))
+def test_grouped_means_equal_per_country_loop_bitwise(case, policy):
+    manifest, panel = case
+    try:
+        want = per_country_pillar_scores(panel, manifest, policy)
+    except AggregationError as exc:
+        with pytest.raises(AggregationError, match=re.escape(str(exc))):
+            compute_pillar_scores(panel, manifest, missing_policy=policy)
+        return
+    got = compute_pillar_scores(panel, manifest, missing_policy=policy).index
+    for pillar in "FOI":
+        assert got[pillar].tobytes() == want[pillar].tobytes()
+
+
+DEMO_2020 = resources.files("foi.data") / "demo_panel_2020.csv"
+
+
+@settings(max_examples=30)
+@given(st.randoms(use_true_random=False), st.sampled_from(["available_mean", "strict"]))
+def test_indices_invariant_under_csv_row_and_column_permutation(rnd, policy):
+    header, *rows = list(csv.reader(DEMO_2020.read_text(encoding="utf-8").splitlines()))
+    cols = list(range(len(header)))
+    cols[1:] = rnd.sample(cols[1:], len(cols) - 1)
+    rnd.shuffle(rows)
+    manifest = default_manifest()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "permuted.csv"
+        path.write_text("".join(",".join(r[c] for c in cols) + "\n" for r in [header, *rows]))
+        got = scores_of(path, manifest, policy)
+    want = scores_of(DEMO_2020, manifest, policy)
+    order = [got.countries.index(c) for c in want.countries]
+    for pillar in "FOI":
+        assert got.index[pillar][order].tobytes() == want.index[pillar].tobytes()
+
+
+def scores_of(path, manifest, policy):
+    panel = load_panel(path, manifest)
+    return compute_pillar_scores(rescale_panel(panel, manifest), manifest, missing_policy=policy)
