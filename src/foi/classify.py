@@ -124,12 +124,37 @@ def classify_epoch(
     threshold: float = DEFAULT_THRESHOLD,
     epsilon: float = DEFAULT_EPSILON,
 ) -> list[ClusterAssignment]:
-    """Classify every country of an epoch; output ordered by country code."""
+    """Classify every country of an epoch; output ordered by country code.
+
+    Countries listed by ``unclassifiable`` are left out.
+    """
     f, o, i = (scores.index[p] for p in PILLARS)
+    skip = set(unclassifiable(scores))
     return [
         classify(float(f[k]), float(o[k]), float(i[k]), threshold=threshold, epsilon=epsilon, country=code)
         for code, k in sorted((code, k) for k, code in enumerate(scores.countries))
+        if code not in skip
     ]
+
+
+def unclassifiable(scores: FoiScores) -> list[str]:
+    """Sorted codes of the countries with a missing (``nan``) pillar
+    index, as the ``strict`` missing policy leaves them."""
+    missing = np.isnan([scores.index[p] for p in PILLARS]).any(axis=0)
+    return sorted(code for code, m in zip(scores.countries, missing) if m)
+
+
+def check_same_countries(a, b) -> None:
+    """Raise ``CountrySetMismatchError`` unless the two collections of
+    country codes hold the same countries."""
+    a, b = set(a), set(b)
+    if a != b:
+        only_a, only_b = sorted(a - b), sorted(b - a)
+        raise CountrySetMismatchError(
+            f"country sets differ: only in first epoch {only_a}, only in second {only_b}",
+            only_in_a=only_a,
+            only_in_b=only_b,
+        )
 
 
 def shift_report(
@@ -147,14 +172,7 @@ def shift_report(
     """
     by_a = {x.country: x for x in a}
     by_b = {x.country: x for x in b}
-    if set(by_a) != set(by_b):
-        only_a = sorted(set(by_a) - set(by_b))
-        only_b = sorted(set(by_b) - set(by_a))
-        raise CountrySetMismatchError(
-            f"country sets differ: only in first epoch {only_a}, only in second {only_b}",
-            only_in_a=only_a,
-            only_in_b=only_b,
-        )
+    check_same_countries(by_a, by_b)
     shifts = []
     trans = np.zeros((8, 8), dtype=int)
     for code in sorted(by_a):

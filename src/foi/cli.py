@@ -20,7 +20,9 @@ from .classify import (
     DEFAULT_THRESHOLD,
     ClusterAssignment,
     classify_epoch,
+    check_same_countries,
     shift_report,
+    unclassifiable,
 )
 from .errors import FoiError, SingularMatrixError, UndefinedStatisticError
 from .manifest import default_manifest, load_manifest
@@ -117,6 +119,16 @@ def _scores_for(panel_path, manifest, epoch, missing_policy):
     return pillar.rank_countries(scores)
 
 
+def _warn(command, message):
+    print(f"foi {command}: warning: {message}", file=sys.stderr)
+
+
+def _warn_left_out(command, codes):
+    if codes:
+        listed = ", ".join(sorted(codes))
+        _warn(command, f"left out {len(codes)} countries with a missing pillar index: {listed}")
+
+
 def cmd_ingest(args) -> int:
     manifest, panel = _load_inputs(args)
     rep = validate_panel(panel)
@@ -159,23 +171,25 @@ def cmd_classify(args) -> int:
     manifest = load_manifest(args.manifest) if args.manifest else default_manifest()
     scores = _scores_for(args.panel, manifest, args.epoch, args.missing_policy)
     assignments = classify_epoch(scores, threshold=args.threshold, epsilon=args.epsilon)
+    _warn_left_out(args.command, unclassifiable(scores))
     report.write_text(report.render_assignments(assignments, args.format), args.out)
     return EXIT_OK
 
 
 def cmd_shift(args) -> int:
     manifest = load_manifest(args.manifest) if args.manifest else default_manifest()
-    a = classify_epoch(
-        _scores_for(args.panel_a, manifest, args.epoch_a, args.missing_policy),
-        threshold=args.threshold,
-        epsilon=args.epsilon,
-    )
-    b = classify_epoch(
-        _scores_for(args.panel_b, manifest, args.epoch_b, args.missing_policy),
-        threshold=args.threshold,
-        epsilon=args.epsilon,
-    )
+    epochs = [
+        _scores_for(path, manifest, epoch, args.missing_policy)
+        for path, epoch in ((args.panel_a, args.epoch_a), (args.panel_b, args.epoch_b))
+    ]
+    # compare the panels' countries before leaving out the unclassifiable
+    # ones, which could otherwise hide a country missing from one panel
+    check_same_countries(epochs[0].countries, epochs[1].countries)
+    left_out = set(unclassifiable(epochs[0])) | set(unclassifiable(epochs[1]))
+    a, b = (classify_epoch(s, threshold=args.threshold, epsilon=args.epsilon) for s in epochs)
+    a, b = ([x for x in side if x.country not in left_out] for side in (a, b))
     rep = shift_report(a, b, epoch_from=args.epoch_a, epoch_to=args.epoch_b)
+    _warn_left_out(args.command, left_out)
     report.write_text(report.render_shift(rep, args.format), args.out)
     return EXIT_OK
 
@@ -189,6 +203,8 @@ def cmd_factors(args) -> int:
         kaiser_normalize=not args.no_kaiser,
         auto_k=args.auto_k,
     )
+    if not model.converged:
+        _warn(args.command, "varimax rotation did not converge; the rotated loadings are from its last sweep")
     report.write_text(report.factor_model_to_json(model), args.out)
     if args.scores_out:
         report.write_text(report.factor_scores_to_csv(model), args.scores_out)

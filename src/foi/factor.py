@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.stats import chi2
 
 from .errors import DomainError, SingularMatrixError, UndefinedStatisticError
 from .panel import _read_grid
@@ -153,11 +152,18 @@ def bartlett_test(r: CorrelationMatrix, n: int) -> BartlettResult:
         raise DomainError(f"need n > p, got n={n}, p={p}")
     sign, logdet = np.linalg.slogdet(r.values)
     if sign <= 0:
-        raise SingularMatrixError("correlation matrix is not positive definite")
+        lowest = float(np.linalg.eigvalsh(r.values)[0])
+        raise SingularMatrixError(
+            f"correlation matrix is not positive definite (smallest eigenvalue {lowest:.6g})"
+        )
     df = p * (p - 1) // 2
     stat = -(n - 1 - (2 * p + 5) / 6.0) * logdet
     stat = max(stat, 0.0)
-    return BartlettResult(chi_square=float(stat), df=df, p_value=float(chi2.sf(stat, df)))
+    # imported here so that only `factors` loads scipy; scipy.stats.chi2.sf
+    # gives the same bits but takes about a second longer to import
+    from scipy.special import chdtrc
+
+    return BartlettResult(chi_square=float(stat), df=df, p_value=float(chdtrc(df, stat)))
 
 
 def anti_image_correlations(r: CorrelationMatrix) -> np.ndarray:
@@ -368,7 +374,16 @@ def fit_factor_model(
     """
     r = correlation_matrix(data, missing=missing)
     n = data.n if missing == "listwise" else int(r.pair_counts.min())
-    bart = bartlett_test(r, n)
+    try:
+        bart = bartlett_test(r, n)
+    except SingularMatrixError as exc:
+        if missing != "pairwise":
+            raise
+        # pairwise deletion estimates each r from its own rows, so R need
+        # not be positive semi-definite
+        raise SingularMatrixError(
+            f"{exc}; pairwise deletion can cause this, try --missing listwise"
+        ) from None
     kmo = kmo_statistic(r)
     all_loadings, eigvals = pca_extract(r, r.p)
     if auto_k:

@@ -145,15 +145,16 @@ def load_panel(panel_csv, manifest: IndicatorManifest, epoch: int = 0) -> Indica
         overflowing values like ``1e400`` included); carries the 1-based
         data row and the column name.
     """
-    columns, countries, raw = _read_grid(panel_csv)
+    columns, countries, grid = _read_grid(panel_csv)
     known = set(manifest.ids)
     for col in columns:
         if col not in known:
             raise SchemaError(f"{panel_csv}: unknown indicator column {col!r}")
-    # keep the file's columns, reordered to manifest order
+    # keep the file's columns, reordered to manifest order; rebinding
+    # ``grid`` frees the file-order copy before the panel makes its own
     where = {col: j for j, col in enumerate(columns)}
     kept = [i for i in manifest.ids if i in where]
-    grid = raw[:, [where[i] for i in kept]]
+    grid = grid[:, [where[i] for i in kept]]
     return IndicatorPanel(epoch=epoch, countries=tuple(countries), indicators=tuple(kept), values=grid)
 
 

@@ -1,9 +1,20 @@
+import functools
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import foi
+from foi import factor, pillar
 from foi.cli import main
+from foi.manifest import default_manifest
+from foi.panel import load_panel
+from foi.rescale import rescale_panel
 
 DATA = resources.files("foi.data")
 PANEL_2010 = str(DATA / "demo_panel_2010.csv")
@@ -159,3 +170,86 @@ def test_infinite_cell_is_input_error(capsys, tmp_path):
     code, out, err = run(capsys, "indices", "--panel", str(path))
     assert code == 1 and not out
     assert "row 3" in err and lines[0].split(",")[5] in err
+
+
+def _strict_left_out(path):
+    manifest = default_manifest()
+    scores = pillar.compute_pillar_scores(
+        rescale_panel(load_panel(path, manifest), manifest), manifest, missing_policy="strict"
+    )
+    missing = np.isnan(np.column_stack(list(scores.index.values()))).any(axis=1)
+    return {code for code, m in zip(scores.countries, missing) if m}
+
+
+def test_classify_strict_policy_leaves_out_unclassifiable_countries(capsys):
+    left_out = _strict_left_out(PANEL_2020)
+    assert left_out  # the demo panel has countries missing a component
+    code, out, err = run(
+        capsys, "classify", "--panel", PANEL_2020, "--missing-policy", "strict", "--format", "json"
+    )
+    assert code == 0
+    assert err.count("\n") == 1 and err.rstrip().endswith(", ".join(sorted(left_out)))
+    countries = {a["country"] for a in json.loads(out)["assignments"]}
+    assert countries.isdisjoint(left_out) and len(countries) == 34 - len(left_out)
+
+
+def test_shift_strict_policy_leaves_out_countries_of_either_epoch(capsys, tmp_path):
+    left_out = _strict_left_out(PANEL_2010) | _strict_left_out(PANEL_2020)
+    argv = ["shift", "--panel-a", PANEL_2010, "--missing-policy", "strict", "--format", "json"]
+    code, out, err = run(capsys, *argv, "--panel-b", PANEL_2020)
+    assert code == 0
+    assert err.count("\n") == 1 and err.rstrip().endswith(", ".join(sorted(left_out)))
+    payload = json.loads(out)
+    assert {s["country"] for s in payload["shifts"]}.isdisjoint(left_out)
+    assert len(payload["shifts"]) == 34 - len(left_out)
+    assert sum(sum(row) for row in payload["transitions"]) == 34 - len(left_out)
+    # a country absent from one panel is a mismatch even when it would be left out
+    gone = min(left_out)
+    lines = Path(PANEL_2020).read_text(encoding="utf-8").splitlines()
+    smaller = tmp_path / "panel.csv"
+    smaller.write_text("\n".join(x for x in lines if not x.startswith(gone + ",")) + "\n")
+    code, out, err = run(capsys, *argv, "--panel-b", str(smaller))
+    assert code == 1 and not out
+    assert f"only in first epoch [{gone!r}], only in second []" in err
+
+
+def test_factors_warns_when_varimax_does_not_converge(capsys, monkeypatch):
+    argv = ("factors", "--panel", FA_PANEL, "--factors-k", "3")
+    code, _, err = run(capsys, *argv)
+    assert code == 0 and not err
+    monkeypatch.setattr(factor, "varimax_rotate", functools.partial(factor.varimax_rotate, max_iter=1))
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["converged"] is False
+    assert err.count("\n") == 1 and "varimax rotation did not converge" in err
+
+
+SRC = str(Path(foi.__file__).resolve().parents[1])
+
+
+def _scipy_modules_after(code):
+    """The scipy modules loaded once ``code`` has run in a fresh interpreter."""
+    listing = "import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)"
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{listing}"],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr.splitlines()[-1]
+
+
+def test_import_cli_loads_no_scipy():
+    assert _scipy_modules_after("import foi.cli") == "[]"
+
+
+def test_classify_loads_no_scipy():
+    argv = ["classify", "--panel", PANEL_2020, "--format", "json"]
+    code = f"import foi.cli\nassert foi.cli.main({argv!r}) == 0"
+    assert _scipy_modules_after(code) == "[]"
+
+
+def test_factors_loads_scipy_special_but_not_scipy_stats():
+    code = f"import foi.cli\nassert foi.cli.main({['factors', '--panel', FA_PANEL]!r}) == 0"
+    loaded = _scipy_modules_after(code)
+    assert "'scipy.special'" in loaded and "'scipy.stats'" not in loaded

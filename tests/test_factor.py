@@ -151,6 +151,46 @@ def test_non_positive_definite_rejected():
         bartlett_test(corr_from(bad), n=30)
 
 
+def _equicorrelation(p, rho):
+    return corr_from(np.full((p, p), rho) + (1.0 - rho) * np.eye(p))
+
+
+@pytest.mark.parametrize("missing", ["pairwise", "listwise"])
+def test_p_value_bitwise_equals_chi2_sf_on_demo_panel(missing):
+    from scipy.stats import chi2
+
+    data = load_variable_matrix(FA_PANEL)
+    r = correlation_matrix(data, missing=missing)
+    res = bartlett_test(r, n=data.n if missing == "listwise" else int(r.pair_counts.min()))
+    assert res.p_value == chi2.sf(res.chi_square, res.df)
+
+
+def test_p_value_bitwise_equals_chi2_sf_on_grid():
+    from scipy.stats import chi2
+
+    seen_df, seen_zero = set(), False
+    for p in (2, 3, 5, 12, 24, 100, 300):
+        for rho in (0.0, 1e-4, 0.01, 0.1, 0.3, 0.6):
+            for n in (p + 1, 2 * p, 10 * p):
+                res = bartlett_test(_equicorrelation(p, rho), n=n)
+                assert res.p_value == chi2.sf(res.chi_square, res.df), (p, rho, n)
+                seen_df.add(res.df)
+                seen_zero |= res.chi_square == 0.0
+    assert 44_850 in seen_df and seen_zero
+
+
+def test_pairwise_r_not_psd_names_smallest_eigenvalue_and_listwise():
+    # each pair is observed on its own four rows: a and b agree, a and c
+    # agree, b and c are opposite, so R has eigenvalues 2, 2 and -1
+    t = [1.0, 2.0, 3.0, 5.0]
+    nan = [np.nan] * 4
+    grid = np.column_stack([t + t + nan, t + nan + t, nan + t + [-v for v in t]])
+    with pytest.raises(SingularMatrixError) as exc:
+        fit_factor_model(vm(grid), k=1, missing="pairwise")
+    assert "smallest eigenvalue -1" in str(exc.value)
+    assert "--missing listwise" in str(exc.value)
+
+
 # ------------------------------------------------------------------------ KMO
 
 

@@ -157,3 +157,26 @@ def test_write_panel_to_stdout_uses_lf(capsys):
     out = capsys.readouterr().out
     assert out.splitlines(keepends=True)[1] == "C00,0.0,,2.0,3.0,4.0,5.0\n"
     assert "\r" not in out
+
+
+def test_load_panel_peak_memory_stays_near_two_grids(tmp_path):
+    # the parsed rows, their stack and the panel's own copy are each one
+    # grid; holding the file-order grid while the panel copies the
+    # manifest-order one would make three
+    import tracemalloc
+
+    manifest = make_manifest(pillar_counts=(100, 100, 100))
+    columns = list(reversed(manifest.ids))  # not manifest order: the reorder runs
+    rng = np.random.default_rng(0)
+    grid = rng.integers(100_000, 999_999, size=(2000, len(columns))) / 1000
+    lines = ["country," + ",".join(columns)]
+    lines += [f"C{i:04d}," + ",".join(map(repr, row)) for i, row in enumerate(grid.tolist())]
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    tracemalloc.start()
+    try:
+        panel = load_panel(path, manifest)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert panel.values.tolist() == grid[:, ::-1].tolist()
+    assert peak / panel.values.nbytes <= 2.5
