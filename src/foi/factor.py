@@ -19,6 +19,12 @@ from .panel import _read_grid
 
 VARIMAX_TOL = 1e-12
 VARIMAX_MAX_SWEEPS = 1000
+# correlation_matrix recomputes a pair from its own rows when a restricted
+# sum of squares is under 1/_CANCELLATION of the raw one (digits lost to
+# cancellation), or the raw one is so small that subnormal terms lost
+# digits; every other r is then within about 1e-13 of the two-pass value
+_CANCELLATION = 64.0
+_SMALLEST_SUMSQ = np.finfo(float).tiny * 2.0**60
 
 
 @dataclass(frozen=True)
@@ -102,42 +108,65 @@ class FactorModel:
 def correlation_matrix(data: VariableMatrix, missing: str = "pairwise") -> CorrelationMatrix:
     """Pearson correlations under pairwise or listwise deletion.
 
+    Each r is computed on the rows where both variables are observed;
+    listwise deletion first drops every row with a missing cell. All
+    pairs come at once from masked matrix products: with M the 0/1
+    observed mask and X the columns centred on their observed means (0
+    where missing), M^T M gives the pair counts, X^T M and (X*X)^T M the
+    pair-restricted sums and sums of squares, and X^T X the cross
+    products. A pair whose restricted sum of squares is not clearly
+    above its cancellation error is checked and computed again from its
+    own rows.
+
     Raises
     ------
     DomainError
         If a variable has zero variance, or some pair has fewer than 3
-        complete observations.
+        complete observations or zero variance on its shared rows.
     """
     if missing not in ("pairwise", "listwise"):
         raise DomainError(f"missing must be 'pairwise' or 'listwise', got {missing!r}")
     grid = data.values
-    if missing == "listwise":
-        grid = grid[(~np.isnan(grid)).all(axis=1)]
     p = len(data.variables)
-    r = np.eye(p)
-    counts = np.zeros((p, p), dtype=int)
-    for j in range(p):
-        col = grid[:, j]
-        obs = col[~np.isnan(col)]
-        counts[j, j] = obs.size
-        if obs.size and obs.std() == 0.0:
+    observed = ~np.isnan(grid)
+    if missing == "listwise":
+        observed &= observed.all(axis=1)[:, None]
+    mask = observed.astype(float)
+    counts = np.rint(mask.T @ mask).astype(int)
+    n_obs = np.diag(counts)
+    x = np.where(observed, grid, 0.0)
+    mean = np.divide(x.sum(axis=0), n_obs, out=np.zeros(p), where=n_obs > 0)
+    np.subtract(x, mean, out=x, where=observed)
+    cross = x.T @ x
+    sums = x.T @ mask  # sums[a, b]: sum of column a on the rows where a and b are observed
+    np.square(x, out=x)
+    sumsq = x.T @ mask
+    del x, mask
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ss = sumsq - sums * sums / counts  # sum of squares about the pair-restricted mean
+        r = (cross - sums * sums.T / counts) / (np.sqrt(ss) * np.sqrt(ss.T))
+        unsure = ~((ss * _CANCELLATION > sumsq) & (sumsq > _SMALLEST_SUMSQ))
+    for j in np.flatnonzero(np.diag(unsure) & (n_obs > 0)):
+        if grid[observed[:, j], j].std() == 0.0:
             raise DomainError(f"variable {data.variables[j]!r} has zero variance")
-    for a in range(p):
-        for b in range(a + 1, p):
-            ok = ~np.isnan(grid[:, a]) & ~np.isnan(grid[:, b])
-            counts[a, b] = counts[b, a] = int(ok.sum())
-            if counts[a, b] < 3:
-                raise DomainError(
-                    f"fewer than 3 complete observations for pair "
-                    f"({data.variables[a]!r}, {data.variables[b]!r})"
-                )
-            x, y = grid[ok, a], grid[ok, b]
-            sx, sy = x.std(), y.std()
-            if sx == 0.0 or sy == 0.0:
-                raise DomainError(
-                    f"zero variance in pair ({data.variables[a]!r}, {data.variables[b]!r})"
-                )
-            r[a, b] = r[b, a] = float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
+    suspect = (counts < 3) | unsure | unsure.T | ~np.isfinite(r)
+    for a, b in np.argwhere(np.triu(suspect, 1)):
+        if counts[a, b] < 3:
+            raise DomainError(
+                f"fewer than 3 complete observations for pair "
+                f"({data.variables[a]!r}, {data.variables[b]!r})"
+            )
+        ok = observed[:, a] & observed[:, b]
+        x, y = grid[ok, a], grid[ok, b]
+        sx, sy = x.std(), y.std()
+        if sx == 0.0 or sy == 0.0:
+            raise DomainError(
+                f"zero variance in pair ({data.variables[a]!r}, {data.variables[b]!r})"
+            )
+        r[a, b] = ((x - x.mean()) * (y - y.mean())).mean() / (sx * sy)
+    r = np.triu(r, 1)
+    r += r.T
+    np.fill_diagonal(r, 1.0)
     return CorrelationMatrix(variables=data.variables, values=r, pair_counts=counts)
 
 
@@ -150,12 +179,16 @@ def bartlett_test(r: CorrelationMatrix, n: int) -> BartlettResult:
     p = r.p
     if n <= p:
         raise DomainError(f"need n > p, got n={n}, p={p}")
-    sign, logdet = np.linalg.slogdet(r.values)
-    if sign <= 0:
+    # a Cholesky factor exists only for a positive definite R; the sign of
+    # det(R) alone misses an even number of negative eigenvalues
+    try:
+        chol = np.linalg.cholesky(r.values)
+    except np.linalg.LinAlgError:
         lowest = float(np.linalg.eigvalsh(r.values)[0])
         raise SingularMatrixError(
             f"correlation matrix is not positive definite (smallest eigenvalue {lowest:.6g})"
-        )
+        ) from None
+    logdet = 2.0 * np.log(np.diag(chol)).sum()
     df = p * (p - 1) // 2
     stat = -(n - 1 - (2 * p + 5) / 6.0) * logdet
     stat = max(stat, 0.0)
@@ -306,12 +339,10 @@ def varimax_rotate(
                 if abs(phi) < 1e-15:
                     continue
                 c, s = math.cos(phi), math.sin(phi)
-                g = np.eye(k)
-                g[a, a] = g[b, b] = c
-                g[a, b] = -s
-                g[b, a] = s
-                work = work @ g
-                rotation = rotation @ g
+                # the planar rotation touches columns a and b only
+                for m in (work, rotation):
+                    x, y = m[:, a], m[:, b]
+                    m[:, a], m[:, b] = c * x + s * y, c * y - s * x
         new_crit = varimax_criterion(work)
         gain = new_crit - crit
         rel = gain / crit if crit > 0 else gain

@@ -3,6 +3,9 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from foi.errors import (
     DomainError,
@@ -15,6 +18,7 @@ from foi.errors import (
 from foi.factor import (
     CorrelationMatrix,
     VariableMatrix,
+    _orient_signs,
     bartlett_test,
     congruence,
     correlation_matrix,
@@ -106,6 +110,112 @@ def test_listwise_drops_incomplete_rows():
     assert r.pair_counts[0, 0] == 3
 
 
+def correlation_loop(data, missing="pairwise"):
+    """The pair-by-pair Pearson loop ``correlation_matrix`` replaced: the
+    oracle for its values, pair counts and first error."""
+    grid = data.values
+    if missing == "listwise":
+        grid = grid[(~np.isnan(grid)).all(axis=1)]
+    p = len(data.variables)
+    r = np.eye(p)
+    counts = np.zeros((p, p), dtype=int)
+    for j in range(p):
+        col = grid[:, j]
+        obs = col[~np.isnan(col)]
+        counts[j, j] = obs.size
+        if obs.size and obs.std() == 0.0:
+            raise DomainError(f"variable {data.variables[j]!r} has zero variance")
+    for a in range(p):
+        for b in range(a + 1, p):
+            ok = ~np.isnan(grid[:, a]) & ~np.isnan(grid[:, b])
+            counts[a, b] = counts[b, a] = int(ok.sum())
+            if counts[a, b] < 3:
+                raise DomainError(
+                    f"fewer than 3 complete observations for pair "
+                    f"({data.variables[a]!r}, {data.variables[b]!r})"
+                )
+            x, y = grid[ok, a], grid[ok, b]
+            sx, sy = x.std(), y.std()
+            if sx == 0.0 or sy == 0.0:
+                raise DomainError(
+                    f"zero variance in pair ({data.variables[a]!r}, {data.variables[b]!r})"
+                )
+            r[a, b] = r[b, a] = float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
+    return r, counts
+
+
+def _outcome(fn, data, missing):
+    try:
+        return fn(data, missing)
+    except DomainError as exc:
+        return str(exc)
+
+
+def assert_matches_loop(data, missing):
+    want = _outcome(correlation_loop, data, missing)
+    got = _outcome(correlation_matrix, data, missing)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert np.array_equal(got.pair_counts, want[1])
+    assert np.abs(got.values - want[0]).max() <= 1e-12
+    assert np.array_equal(got.values, got.values.T)
+
+
+@st.composite
+def holed_grids(draw):
+    """Small grids with ties, constant stretches, far-off levels and any
+    pattern of missing cells."""
+    n = draw(st.integers(0, 14))
+    p = draw(st.integers(1, 5))
+    cells = st.one_of(
+        st.integers(0, 2).map(float),
+        st.floats(-1e3, 1e3),
+        st.floats(1e6, 1e6 + 1),
+    )
+    grid = draw(hnp.arrays(float, (n, p), elements=cells))
+    holes = draw(hnp.arrays(bool, (n, p), elements=st.sampled_from([False, False, True])))
+    grid[holes] = np.nan
+    return grid
+
+
+@settings(max_examples=300)
+@given(holed_grids(), st.sampled_from(["pairwise", "listwise"]))
+def test_correlation_matches_pair_loop(grid, missing):
+    assert_matches_loop(vm(grid), missing)
+
+
+@pytest.mark.parametrize("missing", ["pairwise", "listwise"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_correlation_matches_pair_loop_on_wide_holed_data(missing, seed):
+    data, _ = synthesize_known_factors(p=40, k=4, n=200, seed=seed)
+    grid = np.array(data.values)
+    rng = np.random.default_rng(seed)
+    grid[rng.random(grid.shape) < (0.1 if missing == "pairwise" else 0.002)] = np.nan
+    grid[:, 3] += 1e8  # a far-off level, so centring matters
+    assert_matches_loop(vm(grid), missing)
+
+
+@pytest.mark.parametrize(
+    "shared, others",
+    [
+        ([5.0] * 4, [1.0, 9.0]),
+        # centred on its mean 0.3875, v1's restricted sum of squares comes
+        # out 7e-18 rather than 0 in the matrix products
+        ([0.3] * 6, [0.4, 0.9]),
+    ],
+)
+def test_zero_variance_in_pair_named(shared, others):
+    # v1 varies overall but is constant on the rows it shares with v0
+    m = len(shared)
+    grid = np.column_stack(
+        [np.r_[np.arange(1.0, m + 1), [np.nan] * len(others)], shared + others]
+    )
+    with pytest.raises(DomainError, match=r"^zero variance in pair \('v0', 'v1'\)$"):
+        correlation_matrix(vm(grid))
+    assert_matches_loop(vm(grid), "pairwise")
+
+
 def test_zero_variance_named():
     grid = np.column_stack([np.arange(5.0), np.full(5, 2.0)])
     with pytest.raises(DomainError, match="v1"):
@@ -143,6 +253,14 @@ def test_closed_formula_two_variables():
 def test_requires_n_greater_than_p():
     with pytest.raises(DomainError):
         bartlett_test(corr_from(np.eye(5)), n=5)
+
+
+def test_even_number_of_negative_eigenvalues_rejected():
+    # det = 16 > 0, but the eigenvalues are -1, -1, 2, 2, 2, 2
+    bad = np.kron(np.eye(2), [[1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
+    assert np.linalg.slogdet(bad)[0] == 1.0
+    with pytest.raises(SingularMatrixError, match="smallest eigenvalue -1"):
+        bartlett_test(corr_from(bad), n=30)
 
 
 def test_non_positive_definite_rejected():
@@ -295,6 +413,71 @@ def brute_force_two_factor(loadings, kaiser_normalize=True, step=1e-5):
         )
         best = max(best, crit.max())
     return float(best)
+
+
+def varimax_matmul(loadings, kaiser_normalize=True, tol=1e-12, max_iter=1000):
+    """The varimax ``varimax_rotate`` replaced, which applies each planar
+    rotation as a product with a full k x k matrix: the oracle for the
+    in-place column update. Takes k >= 2."""
+    lam = np.array(loadings, dtype=float)
+    p, k = lam.shape
+    comm = np.sqrt((lam**2).sum(axis=1))
+    work = lam / comm[:, None] if kaiser_normalize else lam.copy()
+    rotation = np.eye(k)
+    crit = varimax_criterion(work)
+    converged = False
+    for _ in range(max_iter):
+        for a in range(k - 1):
+            for b in range(a + 1, k):
+                x, y = work[:, a], work[:, b]
+                u = x**2 - y**2
+                v = 2.0 * x * y
+                num = 2.0 * ((u * v).sum() - u.sum() * v.sum() / p)
+                den = (u**2 - v**2).sum() - (u.sum() ** 2 - v.sum() ** 2) / p
+                phi = 0.25 * math.atan2(num, den)
+                if abs(phi) < 1e-15:
+                    continue
+                c, s = math.cos(phi), math.sin(phi)
+                g = np.eye(k)
+                g[a, a] = g[b, b] = c
+                g[a, b] = -s
+                g[b, a] = s
+                work = work @ g
+                rotation = rotation @ g
+        new_crit = varimax_criterion(work)
+        gain = new_crit - crit
+        rel = gain / crit if crit > 0 else gain
+        crit = new_crit
+        if rel < tol:
+            converged = True
+            break
+    rotated = (work * comm[:, None]) if kaiser_normalize else work
+    flips = _orient_signs(rotated)
+    return rotated * flips, rotation * flips, varimax_criterion(work * flips), converged
+
+
+def assert_matches_matmul(lam, **kwargs):
+    got = varimax_rotate(lam, **kwargs)
+    want = varimax_matmul(lam, **kwargs)
+    for g, w in zip(got[:2], want[:2]):
+        assert np.abs(g - w).max() <= 1e-12
+    assert got[2] == pytest.approx(want[2], abs=1e-12)
+    assert got[3] == want[3]
+
+
+@pytest.mark.parametrize("kaiser", [True, False])
+@pytest.mark.parametrize("p, k", [(6, 2), (10, 3), (24, 5), (40, 8), (90, 15)])
+def test_varimax_matches_full_matrix_products(p, k, kaiser):
+    rng = np.random.default_rng(p * 100 + k)
+    lam = rng.normal(size=(p, k))
+    assert_matches_matmul(lam, kaiser_normalize=kaiser)
+    assert_matches_matmul(lam, kaiser_normalize=kaiser, max_iter=1)
+
+
+@pytest.mark.parametrize("k", [2, 3, 12])
+def test_varimax_matches_full_matrix_products_on_demo_panel(k):
+    loadings, _ = pca_extract(correlation_matrix(load_variable_matrix(FA_PANEL)), k)
+    assert_matches_matmul(loadings)
 
 
 def test_single_factor_is_identity():
