@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, SingularMatrixError, UndefinedStatisticError
-from .panel import _read_grid
+from .panel import _frozen_grid, _read_grid
 
 VARIMAX_TOL = 1e-12
 VARIMAX_MAX_SWEEPS = 1000
@@ -38,8 +38,7 @@ class VariableMatrix:
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
         object.__setattr__(self, "variables", tuple(self.variables))
-        grid = np.array(self.values, dtype=float)
-        grid.setflags(write=False)
+        grid = _frozen_grid(self.values)
         object.__setattr__(self, "values", grid)
         if grid.shape != (len(self.rows), len(self.variables)):
             raise DomainError("grid shape does not match row/variable labels")
@@ -147,7 +146,7 @@ def correlation_matrix(data: VariableMatrix, missing: str = "pairwise") -> Corre
         r = (cross - sums * sums.T / counts) / (np.sqrt(ss) * np.sqrt(ss.T))
         unsure = ~((ss * _CANCELLATION > sumsq) & (sumsq > _SMALLEST_SUMSQ))
     for j in np.flatnonzero(np.diag(unsure) & (n_obs > 0)):
-        if grid[observed[:, j], j].std() == 0.0:
+        if _zero_variance(grid[observed[:, j], j]):
             raise DomainError(f"variable {data.variables[j]!r} has zero variance")
     suspect = (counts < 3) | unsure | unsure.T | ~np.isfinite(r)
     for a, b in np.argwhere(np.triu(suspect, 1)):
@@ -158,16 +157,22 @@ def correlation_matrix(data: VariableMatrix, missing: str = "pairwise") -> Corre
             )
         ok = observed[:, a] & observed[:, b]
         x, y = grid[ok, a], grid[ok, b]
-        sx, sy = x.std(), y.std()
-        if sx == 0.0 or sy == 0.0:
+        if _zero_variance(x) or _zero_variance(y):
             raise DomainError(
                 f"zero variance in pair ({data.variables[a]!r}, {data.variables[b]!r})"
             )
-        r[a, b] = ((x - x.mean()) * (y - y.mean())).mean() / (sx * sy)
+        r[a, b] = ((x - x.mean()) * (y - y.mean())).mean() / (x.std() * y.std())
     r = np.triu(r, 1)
     r += r.T
     np.fill_diagonal(r, 1.0)
     return CorrelationMatrix(variables=data.variables, values=r, pair_counts=counts)
+
+
+def _zero_variance(x: np.ndarray) -> bool:
+    """All values equal, or deviations too small to square. ``std()`` of
+    equal values is not always 0: for [0.4, 0.4, 0.4] it is 5.6e-17,
+    because the mean rounds off the values."""
+    return x.min() == x.max() or x.std() == 0.0
 
 
 def bartlett_test(r: CorrelationMatrix, n: int) -> BartlettResult:
@@ -482,6 +487,7 @@ def load_variable_matrix(path) -> VariableMatrix:
     """Read a ``country,<variable ids...>`` CSV with the same checks and
     missing-value rule as ``panel.load_panel``; empty cells are missing."""
     variables, rows, values = _read_grid(path)
+    values.setflags(write=False)  # the matrix takes it without a copy
     return VariableMatrix(rows=tuple(rows), variables=tuple(variables), values=values)
 
 

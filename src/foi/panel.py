@@ -8,6 +8,7 @@ so two files with permuted columns load to identical panels.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import sys
 from contextlib import nullcontext
@@ -17,6 +18,24 @@ import numpy as np
 
 from .errors import DuplicateCountryError, PanelParseError, SchemaError
 from .manifest import IndicatorManifest
+
+
+def _frozen_grid(values) -> np.ndarray:
+    """``values`` as a read-only float array. A read-only float64 array
+    that owns its memory, as the readers and ``rescale_panel`` pass, is
+    taken as is; anything else is copied, so a later write to the
+    caller's array cannot reach the panel."""
+    if (
+        isinstance(values, np.ndarray)
+        and values.dtype == np.float64
+        and values.flags.owndata
+        and not values.flags.writeable
+    ):
+        return values
+    grid = np.array(values, dtype=float)
+    grid.setflags(write=False)
+    return grid
+
 
 @dataclass(frozen=True)
 class IndicatorPanel:
@@ -34,8 +53,7 @@ class IndicatorPanel:
     def __post_init__(self):
         object.__setattr__(self, "countries", tuple(self.countries))
         object.__setattr__(self, "indicators", tuple(self.indicators))
-        grid = np.array(self.values, dtype=float)
-        grid.setflags(write=False)
+        grid = _frozen_grid(self.values)
         object.__setattr__(self, "values", grid)
         if len(set(self.countries)) != len(self.countries):
             raise DuplicateCountryError("duplicate country codes in panel")
@@ -66,11 +84,94 @@ class ValidationReport:
     warnings: tuple[str, ...] = ()
 
 
-def _read_grid(path) -> tuple[list[str], list[str], np.ndarray]:
+class _Unfit(Exception):
+    """A file the streamed parse cannot take exactly as the record loop would."""
+
+
+def _read_grid(path, order=None) -> tuple[list[str], list[str], np.ndarray]:
     """Parse a ``country,<column ids...>`` CSV into column ids, row codes
     and a float grid, with the checks listed under ``load_panel``. The
     one CSV reader of the package: ``factor.load_variable_matrix`` uses
-    it too."""
+    it too.
+
+    When ``order`` holds every column id, the columns follow ``order``;
+    otherwise they follow the file. numpy's C tokenizer parses the data
+    lines as they stream from the file, so the peak is about one grid. A
+    file it cannot take exactly as ``_read_records`` would (a quote, a
+    whitespace-only cell, ``1_000``, a line of commas, a bad or infinite
+    cell, a short or long row, a repeated code) is read again by
+    ``_read_records``, which alone raises the reader's errors.
+    """
+    try:
+        return _read_streamed(path, order)
+    except (_Unfit, ValueError):
+        pass
+    columns, codes, grid = _read_records(path)
+    cols = _column_order(columns, order)
+    if cols != list(range(len(columns))):
+        columns, grid = [columns[j] for j in cols], grid[:, cols]
+    return columns, codes, grid
+
+
+def _column_order(columns: list[str], order) -> list[int]:
+    """Positions of ``columns`` sorted by their place in ``order``; the
+    file's order when ``order`` is None or lacks one of them."""
+    place = {col: i for i, col in enumerate(order or ())}
+    if order is None or not all(col in place for col in columns):
+        return list(range(len(columns)))
+    return sorted(range(len(columns)), key=lambda j: place[columns[j]])
+
+
+def _read_streamed(path, order) -> tuple[list[str], list[str], np.ndarray]:
+    """The fast path of ``_read_grid``; raises ``_Unfit`` or ``ValueError``
+    for any file it cannot read exactly as ``_read_records`` does."""
+    with open(path, encoding="utf-8") as fh:
+        head = fh.readline()
+        header = head.rstrip("\n").split(",")
+        columns = [h.strip() for h in header[1:]]
+        if ('"' in head or "\0" in head or header[0].strip().lower() != "country"
+                or not columns or len(set(columns)) != len(columns)):
+            raise _Unfit
+        codes: list[str] = []
+        lines = _data_lines(fh, len(columns), codes)
+        first = next(lines, None)
+        if first is None:  # no data rows: loadtxt would warn
+            raise _Unfit
+        cols = _column_order(columns, order)
+        grid = np.loadtxt(
+            itertools.chain((first,), lines), delimiter=",", comments=None, quotechar=None,
+            ndmin=2, usecols=[1 + j for j in cols],
+        )
+    if np.isinf(grid).any() or len(set(codes)) != len(codes):
+        raise _Unfit
+    return [columns[j] for j in cols], codes, grid
+
+
+def _data_lines(fh, width: int, codes: list[str]):
+    """Yield the data lines of ``fh`` for ``np.loadtxt``, each empty cell
+    spelled ``nan``, and append each row's code to ``codes``. Blank lines
+    are dropped; a line with a quote, a NUL or empty code, or other than
+    ``width`` commas raises ``_Unfit``."""
+    for line in fh:
+        if line.count(",") != width or '"' in line:
+            if line.isspace():
+                continue
+            raise _Unfit
+        code = line[: line.index(",")].strip()
+        if not code or "\0" in code:
+            raise _Unfit
+        codes.append(code)
+        line = line.replace(",,", ",nan,")
+        if ",," in line:  # a run of empty cells
+            line = line.replace(",,", ",nan,")
+        yield line.rstrip("\n") + "nan" if line.endswith((",", ",\n")) else line
+
+
+def _read_records(path) -> tuple[list[str], list[str], np.ndarray]:
+    """The record loop behind ``_read_grid``: ``csv.reader`` and one
+    ``float`` parse per row. It is the only code that raises a reader
+    error, and the only path for quoted fields, whitespace-only cells and
+    other input the C tokenizer refuses."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -145,17 +246,13 @@ def load_panel(panel_csv, manifest: IndicatorManifest, epoch: int = 0) -> Indica
         overflowing values like ``1e400`` included); carries the 1-based
         data row and the column name.
     """
-    columns, countries, grid = _read_grid(panel_csv)
+    columns, countries, grid = _read_grid(panel_csv, manifest.ids)
     known = set(manifest.ids)
     for col in columns:
         if col not in known:
             raise SchemaError(f"{panel_csv}: unknown indicator column {col!r}")
-    # keep the file's columns, reordered to manifest order; rebinding
-    # ``grid`` frees the file-order copy before the panel makes its own
-    where = {col: j for j, col in enumerate(columns)}
-    kept = [i for i in manifest.ids if i in where]
-    grid = grid[:, [where[i] for i in kept]]
-    return IndicatorPanel(epoch=epoch, countries=tuple(countries), indicators=tuple(kept), values=grid)
+    grid.setflags(write=False)  # the panel takes it without a copy
+    return IndicatorPanel(epoch=epoch, countries=tuple(countries), indicators=tuple(columns), values=grid)
 
 
 def write_panel(panel: IndicatorPanel, path) -> None:

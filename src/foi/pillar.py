@@ -8,7 +8,6 @@ series still counts once in the pillar mean.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,15 +92,16 @@ def compute_pillar_scores(
 
 def rank_countries(scores: FoiScores) -> FoiScores:
     """Fill ranks: rank 1 = highest index, ties broken by country code."""
+    n = len(scores.countries)
+    # each code's place in Python's string order; numpy's fixed-width
+    # strings would drop a trailing NUL and tie "A" with "A\0"
+    by_code = np.empty(n, dtype=int)
+    by_code[sorted(range(n), key=scores.countries.__getitem__)] = np.arange(n)
     ranks: dict[str, np.ndarray] = {}
     for pillar in PILLARS:
-        vals = scores.index[pillar]
-        order = sorted(
-            range(len(scores.countries)),
-            key=lambda i: (-(vals[i] if not math.isnan(vals[i]) else -math.inf), scores.countries[i]),
-        )
-        r = np.zeros(len(order), dtype=int)
-        for place, i in enumerate(order, start=1):
-            r[i] = place
+        key = -np.asarray(scores.index[pillar], dtype=float)
+        key[np.isnan(key)] = np.inf  # a missing index ranks last
+        r = np.empty(n, dtype=int)
+        r[np.lexsort((by_code, key))] = np.arange(1, n + 1)
         ranks[pillar] = r
     return FoiScores(epoch=scores.epoch, countries=scores.countries, index=scores.index, rank=ranks)

@@ -31,33 +31,38 @@ def min_max_rescale(values, direction: str) -> np.ndarray:
         If every value is missing.
     """
     col = np.asarray(values, dtype=float)
-    mask = ~np.isnan(col)
-    if not mask.any():
+    if np.isnan(col).all():
         raise EmptyColumnError("column has no observed values")
-    lo = col[mask].min()
-    hi = col[mask].max()
-    out = np.full_like(col, np.nan)
-    if hi == lo:
-        out[mask] = SCALE_MID
-        return out
+    return _rescale_columns(col[:, None], np.array([direction == "lower_is_better"]))[:, 0]
+
+
+def _rescale_columns(grid: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """Rescale every column of ``grid`` onto [1, 7], reversed where
+    ``lower`` is set. Each pass runs over the whole grid in row order; the
+    arithmetic per cell is the same as one column at a time."""
+    lo = np.fmin.reduce(grid, axis=0, initial=np.nan)  # fmin skips nan
+    hi = np.fmax.reduce(grid, axis=0, initial=np.nan)
+    out = np.subtract(grid, lo)
+    np.subtract(hi, grid, out=out, where=lower)
     # ratio first: stays in [0, 1] even when hi - lo is subnormal
-    if direction == "lower_is_better":
-        frac = (hi - col[mask]) / (hi - lo)
-    else:
-        frac = (col[mask] - lo) / (hi - lo)
-    out[mask] = SCALE_LO + (SCALE_HI - SCALE_LO) * frac
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out /= hi - lo
+    out *= SCALE_HI - SCALE_LO
+    out += SCALE_LO
+    out[:, hi == lo] = SCALE_MID
+    np.copyto(out, np.nan, where=np.isnan(grid))
     return out
 
 
 def rescale_panel(panel: IndicatorPanel, manifest: IndicatorManifest) -> IndicatorPanel:
     """Rescale every column of a panel using its manifest direction."""
-    grid = np.empty_like(panel.values)
-    for j, ind in enumerate(panel.indicators):
-        spec = manifest.by_id(ind)
-        try:
-            grid[:, j] = min_max_rescale(panel.values[:, j], spec.direction)
-        except EmptyColumnError:
-            raise EmptyColumnError(f"indicator {ind!r} has no observed values") from None
+    lower = []
+    for ind, empty in zip(panel.indicators, np.isnan(panel.values).all(axis=0)):
+        lower.append(manifest.by_id(ind).direction == "lower_is_better")
+        if empty:
+            raise EmptyColumnError(f"indicator {ind!r} has no observed values")
+    grid = _rescale_columns(panel.values, np.array(lower, dtype=bool))
+    grid.setflags(write=False)  # the panel takes it without a copy
     return IndicatorPanel(
         epoch=panel.epoch,
         countries=panel.countries,

@@ -123,7 +123,7 @@ def correlation_loop(data, missing="pairwise"):
         col = grid[:, j]
         obs = col[~np.isnan(col)]
         counts[j, j] = obs.size
-        if obs.size and obs.std() == 0.0:
+        if obs.size and (obs.min() == obs.max() or obs.std() == 0.0):
             raise DomainError(f"variable {data.variables[j]!r} has zero variance")
     for a in range(p):
         for b in range(a + 1, p):
@@ -135,12 +135,11 @@ def correlation_loop(data, missing="pairwise"):
                     f"({data.variables[a]!r}, {data.variables[b]!r})"
                 )
             x, y = grid[ok, a], grid[ok, b]
-            sx, sy = x.std(), y.std()
-            if sx == 0.0 or sy == 0.0:
+            if x.min() == x.max() or y.min() == y.max() or x.std() == 0.0 or y.std() == 0.0:
                 raise DomainError(
                     f"zero variance in pair ({data.variables[a]!r}, {data.variables[b]!r})"
                 )
-            r[a, b] = r[b, a] = float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
+            r[a, b] = r[b, a] = float(((x - x.mean()) * (y - y.mean())).mean() / (x.std() * y.std()))
     return r, counts
 
 
@@ -220,6 +219,34 @@ def test_zero_variance_named():
     grid = np.column_stack([np.arange(5.0), np.full(5, 2.0)])
     with pytest.raises(DomainError, match="v1"):
         correlation_matrix(vm(grid))
+
+
+@pytest.mark.parametrize("missing", ["pairwise", "listwise"])
+def test_constant_variable_whose_std_rounds_off_zero_named(missing):
+    # std() of [0.4, 0.4, 0.4] is 5.6e-17, not 0: a std() == 0 check let
+    # this column through with r = 0
+    assert np.array([0.4] * 3).std() != 0.0
+    grid = np.column_stack([[1.0, 2.0, 3.0], [0.4] * 3])
+    with pytest.raises(DomainError, match=r"^variable 'v1' has zero variance$"):
+        correlation_matrix(vm(grid), missing=missing)
+    assert_matches_loop(vm(grid), missing)
+
+
+@pytest.mark.parametrize("missing", ["pairwise", "listwise"])
+def test_pair_constant_on_shared_rows_whose_std_rounds_off_zero_named(missing):
+    # v1 is 0.4 on the three rows it shares with v0 and varies elsewhere;
+    # under listwise deletion the shared rows are all the rows left, so
+    # the variable check names v1 first
+    grid = np.array([
+        [1.0, 0.4, 1.0], [2.0, 0.4, 3.0], [3.0, 0.4, 2.0], [np.nan, 0.7, 4.0], [np.nan, 0.9, 6.0],
+    ])
+    want = {
+        "pairwise": r"^zero variance in pair \('v0', 'v1'\)$",
+        "listwise": r"^variable 'v1' has zero variance$",
+    }[missing]
+    with pytest.raises(DomainError, match=want):
+        correlation_matrix(vm(grid), missing=missing)
+    assert_matches_loop(vm(grid), missing)
 
 
 def test_too_few_complete_pairs():

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foi.errors import DuplicateCountryError, PanelParseError, SchemaError
 from foi.manifest import default_manifest, manifest_from_records
-from foi.panel import load_panel, validate_panel, write_panel
+from foi.panel import _read_grid, _read_records, _read_streamed, load_panel, validate_panel, write_panel
 
 from conftest import make_manifest, make_panel
 
@@ -180,3 +182,124 @@ def test_load_panel_peak_memory_stays_near_two_grids(tmp_path):
         tracemalloc.stop()
     assert panel.values.tolist() == grid[:, ::-1].tolist()
     assert peak / panel.values.nbytes <= 2.5
+
+
+def test_load_panel_peak_memory_stays_near_one_grid(tmp_path):
+    # the C tokenizer fills one growing grid in manifest order, and the
+    # panel takes that grid without a copy
+    import tracemalloc
+
+    manifest = make_manifest(pillar_counts=(100, 100, 100))
+    columns = list(reversed(manifest.ids))  # not manifest order
+    rng = np.random.default_rng(0)
+    grid = rng.integers(100_000, 999_999, size=(2000, len(columns))) / 1000
+    lines = ["country," + ",".join(columns)]
+    lines += [f"C{i:04d}," + ",".join(map(repr, row)) for i, row in enumerate(grid.tolist())]
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    tracemalloc.start()
+    try:
+        panel = load_panel(path, manifest)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert panel.values.tolist() == grid[:, ::-1].tolist()
+    assert peak / panel.values.nbytes <= 1.5
+
+
+# ------------------------------------------- streamed parse against the loop
+
+
+def test_streamed_parse_takes_plain_files(tmp_path):
+    # empty cells anywhere in a row, runs of them, blank lines, CRLF and
+    # a last line without a terminator stay on the fast path
+    text = "country,a,b,c\r\nAAA,,2,\r\n\r\nBBB,,,\r\nCCC, 1.5 ,nan,-3e2"
+    path = tmp_path / "plain.csv"
+    path.write_bytes(text.encode())
+    got = _read_streamed(path, ("c", "a", "b"))
+    want = _read_records(path)
+    assert got[0] == ["c", "a", "b"] and got[1] == want[1] == ["AAA", "BBB", "CCC"]
+    assert got[2].tobytes() == want[2][:, [2, 0, 1]].tobytes()
+
+
+def test_panel_keeps_the_readers_grid(tmp_path):
+    path = write(tmp_path, "country,b,a\nAAA,2,1\n")
+    panel = load_panel(path, TWO_COL)
+    assert panel.values.flags.owndata and not panel.values.flags.writeable
+    # an array the caller can still write to is copied
+    grid = np.ones((1, 2))
+    again = make_panel(TWO_COL, grid, countries=["AAA"])
+    grid[0, 0] = 5.0
+    assert again.values[0, 0] == 1.0
+
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["", "nan", "NaN", "-nan", "1e-400", "1.", ".5", " 2.5 ", "+7", "-0.0"]),
+)
+_ODD_CELLS = st.sampled_from([
+    " ", "\t", "inf", "-Infinity", "1e400", "-1e400", "abc", "1_000", "\u0661", '"1.5"', '""', '" "',
+])
+_ODD_CODES = st.sampled_from(["AAA", "BBB", " AAA ", '"BBB"', '"C,C"', "", "  "])
+
+
+@st.composite
+def grid_files(draw):
+    """CSV text with numbers, empty cells and blank lines, LF or CRLF line
+    ends, and up to two kinds of odd input: repeated headers, lines of
+    whitespace or commas, short and long rows, rows with one
+    whitespace-only, infinite, unparsable or quoted cell, and repeated,
+    quoted or empty codes."""
+    odd = draw(st.sets(st.sampled_from(
+        ["repeated header", "spaces", "commas", "short", "long", "odd cell", "odd code"]
+    ), max_size=2))
+    width = draw(st.integers(1, 4))
+    columns = list("abcd"[:width])
+    if "repeated header" in odd:
+        columns = draw(st.lists(st.sampled_from("abcd"), min_size=width, max_size=width))
+    lines = ["country," + ",".join(columns)]
+    kinds = ["row"] * 4 + ["blank"] + sorted(odd & {"spaces", "commas", "short", "long", "odd cell"})
+    for i in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "spaces":
+            lines.append("  ")
+        elif kind == "commas":
+            lines.append("," * len(columns))
+        else:
+            n = len(columns) + {"short": -1, "long": 1}.get(kind, 0)
+            cells = draw(st.lists(_NUMBERS, min_size=n, max_size=n))
+            if kind == "odd cell":
+                cells[draw(st.integers(0, n - 1))] = draw(_ODD_CELLS)
+            code = f" R{i}"
+            if "odd code" in odd and draw(st.booleans()):
+                code = draw(_ODD_CODES)
+            lines.append(",".join([code, *cells]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def _outcome(read, path, *args):
+    try:
+        columns, codes, grid = read(path, *args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return columns, codes, grid.shape, grid.tobytes()
+
+
+@settings(max_examples=400)
+@given(grid_files(), st.randoms(use_true_random=False))
+def test_streamed_reader_equals_record_loop(tmp_path_factory, text, rnd):
+    path = tmp_path_factory.mktemp("grid") / "grid.csv"
+    path.write_bytes(text.encode())
+    want = _outcome(_read_records, path)
+    assert _outcome(_read_grid, path) == want
+    if len(want) == 4:  # read in a shuffled column order too
+        columns = want[0]
+        order = rnd.sample(columns, len(columns))
+        cols = sorted(range(len(columns)), key=lambda j: order.index(columns[j]))
+        grid = np.frombuffer(want[3]).reshape(want[2])[:, cols]
+        assert _outcome(_read_grid, path, order) == (
+            [columns[j] for j in cols], want[1], grid.shape, grid.tobytes()
+        )

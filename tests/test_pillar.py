@@ -1,4 +1,5 @@
 import csv
+import math
 import re
 import tempfile
 from importlib import resources
@@ -10,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from foi.errors import AggregationError
+from foi.classify import classify_epoch
+from foi.errors import AggregationError, EmptyColumnError
 from foi.manifest import IndicatorManifest, IndicatorSpec, default_manifest
-from foi.panel import load_panel
-from foi.pillar import compute_pillar_scores, rank_countries
+from foi.panel import load_panel, write_panel
+from foi.pillar import FoiScores, compute_pillar_scores, rank_countries
 from foi.reference import load_fixture
 from foi.rescale import rescale_panel
 
@@ -141,6 +143,37 @@ def test_rank_invariant_under_monotone_transform():
         assert base.rank[pillar].tolist() == squeezed.rank[pillar].tolist()
 
 
+def rank_loop(scores):
+    """The Python sort ``rank_countries`` replaced: the oracle of its ranks."""
+    ranks = {}
+    for pillar in "FOI":
+        vals = scores.index[pillar]
+        order = sorted(
+            range(len(scores.countries)),
+            key=lambda i: (-(vals[i] if not math.isnan(vals[i]) else -math.inf), scores.countries[i]),
+        )
+        r = np.zeros(len(order), dtype=int)
+        for place, i in enumerate(order, start=1):
+            r[i] = place
+        ranks[pillar] = r
+    return ranks
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_ranks_equal_sort_loop(data):
+    # ties, repeated codes, codes a trailing NUL tells apart, NaN indices
+    n = data.draw(st.integers(0, 30))
+    codes = data.draw(st.lists(st.sampled_from(["A", "A\0", "AB", "B", ""]), min_size=n, max_size=n))
+    cells = st.one_of(st.sampled_from([1.0, 4.0, 7.0, 0.0, -0.0, np.nan]), st.floats(1.0, 7.0))
+    index = {p: data.draw(hnp.arrays(float, n, elements=cells)) for p in "FOI"}
+    scores = FoiScores(epoch=2020, countries=codes, index=index)
+    got, want = rank_countries(scores).rank, rank_loop(scores)
+    for pillar in "FOI":
+        assert got[pillar].dtype == want[pillar].dtype
+        assert got[pillar].tolist() == want[pillar].tolist()
+
+
 def test_published_rank_extremes():
     fx = load_fixture()
     assert fx.index_rank(2020, "LUX", "O") == 1
@@ -233,3 +266,46 @@ def test_indices_invariant_under_csv_row_and_column_permutation(rnd, policy):
 def scores_of(path, manifest, policy):
     panel = load_panel(path, manifest)
     return compute_pillar_scores(rescale_panel(panel, manifest), manifest, missing_policy=policy)
+
+
+def classified_run(panel, manifest, tmp):
+    """CSV to clusters: write the panel, read it back, rescale, aggregate
+    and classify, as ``foi classify`` does."""
+    path = Path(tmp) / f"panel{len(list(Path(tmp).iterdir()))}.csv"
+    write_panel(panel, path)
+    loaded = load_panel(path, manifest)
+    scores = compute_pillar_scores(rescale_panel(loaded, manifest), manifest)
+    return scores, {a.country: a.cluster_id for a in classify_epoch(scores)}
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_positive_affine_map_of_a_raw_column_keeps_indices_and_clusters(data):
+    directions = {i: data.draw(st.sampled_from(["higher_is_better", "lower_is_better"]))
+                  for i in ("f0", "o1", "i0")}
+    manifest = make_manifest(directions=directions)
+    n = data.draw(st.integers(2, 12))
+    cells = st.integers(-10**5, 10**5).map(lambda v: v / 100)
+    grid = data.draw(hnp.arrays(float, (n, 6), elements=cells))
+    grid[data.draw(hnp.arrays(bool, (n, 6), elements=st.sampled_from([False] * 5 + [True])))] = np.nan
+    j = data.draw(st.integers(0, 5))
+    observed = grid[~np.isnan(grid[:, j]), j]
+    a = data.draw(st.floats(1e-3, 1e3))
+    span = a * (observed.max() - observed.min()) if observed.size else 0.0
+    b = data.draw(st.floats(-1.0, 1.0)) * 1e3 * span  # |b| up to 10^3 times the column's range
+    moved = grid.copy()
+    moved[:, j] = a * grid[:, j] + b
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            want, want_ids = classified_run(make_panel(manifest, grid), manifest, tmp)
+        except (AggregationError, EmptyColumnError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                classified_run(make_panel(manifest, moved), manifest, tmp)
+            return
+        got, got_ids = classified_run(make_panel(manifest, moved), manifest, tmp)
+    for pillar in "FOI":
+        assert np.abs(got.index[pillar] - want.index[pillar]).max() <= 1e-9
+    near = np.abs(np.array([want.index[p] for p in "FOI"]) - 4.0).min(axis=0) <= 1e-9
+    for k, code in enumerate(want.countries):
+        if not near[k]:
+            assert got_ids[code] == want_ids[code]
