@@ -1,9 +1,12 @@
 """Interval-halving classification into eight clusters, plus shift analysis.
 
 Each pillar index is split at the scale midpoint: low (L) below the
-threshold, high (H) at the threshold or above. The three level letters
-identify one of 2^3 = 8 clusters; the larger recurring clusters carry
-model names.
+threshold, high (H) at the threshold or above, and borderline within
+``epsilon`` of the threshold, where display rounding could flip the
+level. The three level letters identify one of 2^3 = 8 clusters; the
+larger recurring clusters carry model names. A classification is stored
+as its cluster id, from which the levels, the label and the number of
+high pillars are read.
 """
 
 from __future__ import annotations
@@ -20,16 +23,7 @@ DEFAULT_THRESHOLD = 4.0
 DEFAULT_EPSILON = 0.05
 
 # cluster id = 1 + 4*[F high] + 2*[O high] + [I high]
-CLUSTER_LEVELS = {
-    1: ("L", "L", "L"),
-    2: ("L", "L", "H"),
-    3: ("L", "H", "L"),
-    4: ("L", "H", "H"),
-    5: ("H", "L", "L"),
-    6: ("H", "L", "H"),
-    7: ("H", "H", "L"),
-    8: ("H", "H", "H"),
-}
+CLUSTER_LEVELS = {1 + c: tuple("LH"[c >> shift & 1] for shift in (2, 1, 0)) for c in range(8)}
 
 CLUSTER_LABELS = {
     1: "Traditional",
@@ -39,26 +33,32 @@ CLUSTER_LABELS = {
     8: "Human capital-based",
 }
 
+# the pillars whose bit is set in a 3-bit mask (F 4, O 2, I 1)
+PILLAR_SETS = tuple(frozenset(p for p, shift in zip(PILLARS, (2, 1, 0)) if m >> shift & 1) for m in range(8))
+# the number of high pillars, by cluster id (entry 0 is unused)
+_HIGH_COUNT = np.array([0] + [levels.count("H") for levels in CLUSTER_LEVELS.values()])
+
 
 @dataclass(frozen=True)
 class ClusterAssignment:
-    """One country's cluster for one epoch."""
+    """One country's cluster for one epoch. The levels, the label and
+    the high-pillar count follow from ``cluster_id``."""
 
     country: str
-    f_level: str
-    o_level: str
-    i_level: str
     cluster_id: int
-    label: str
     borderline: frozenset[str] = frozenset()
 
     @property
     def levels(self) -> tuple[str, str, str]:
-        return (self.f_level, self.o_level, self.i_level)
+        return CLUSTER_LEVELS[self.cluster_id]
+
+    @property
+    def label(self) -> str:
+        return CLUSTER_LABELS.get(self.cluster_id, "-")
 
     @property
     def high_count(self) -> int:
-        return sum(lv == "H" for lv in self.levels)
+        return int(_HIGH_COUNT[self.cluster_id])
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,20 @@ class ShiftReport:
     stayers: tuple[CountryShift, ...] = field(default_factory=tuple)
 
 
+def _cluster_ids(index: np.ndarray, threshold: float, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cluster ids and 3-bit borderline masks (F 4, O 2, I 1) for the
+    columns of a (3, n) array of F, O and I indices. The first column
+    with an index outside [1, 7] (``nan`` included) raises ``DomainError``.
+    """
+    bad = ~((index >= 1.0) & (index <= 7.0))
+    if bad.any():
+        k = np.flatnonzero(bad.any(axis=0))[0]
+        p = np.flatnonzero(bad[:, k])[0]
+        raise DomainError(f"{PILLARS[p]}-index {float(index[p, k])} outside [1, 7]")
+    bits = np.array([4, 2, 1])
+    return 1 + bits @ (index >= threshold), bits @ (np.abs(index - threshold) <= epsilon)
+
+
 def classify(
     f: float,
     o: float,
@@ -95,28 +109,10 @@ def classify(
     epsilon: float = DEFAULT_EPSILON,
     country: str = "",
 ) -> ClusterAssignment:
-    """Assign one country to a cluster from its three pillar indices.
-
-    A pillar is high when its index is at or above the threshold. The
-    borderline set collects pillars whose index lies within ``epsilon``
-    of the threshold, where display rounding could flip the level.
-    """
-    indices = {"F": f, "O": o, "I": i}
-    for pillar, v in indices.items():
-        if not (1.0 <= v <= 7.0):
-            raise DomainError(f"{pillar}-index {v} outside [1, 7]")
-    levels = tuple("H" if v >= threshold else "L" for v in (f, o, i))
-    cluster_id = 1 + 4 * (levels[0] == "H") + 2 * (levels[1] == "H") + (levels[2] == "H")
-    borderline = frozenset(p for p, v in indices.items() if abs(v - threshold) <= epsilon)
-    return ClusterAssignment(
-        country=country,
-        f_level=levels[0],
-        o_level=levels[1],
-        i_level=levels[2],
-        cluster_id=cluster_id,
-        label=CLUSTER_LABELS.get(cluster_id, "-"),
-        borderline=borderline,
-    )
+    """Assign one country to a cluster from its three pillar indices,
+    by the rule of ``classify_epoch``."""
+    ids, border = _cluster_ids(np.array([[f], [o], [i]], dtype=float), threshold, epsilon)
+    return ClusterAssignment(country, int(ids[0]), PILLAR_SETS[border[0]])
 
 
 def classify_epoch(
@@ -128,12 +124,14 @@ def classify_epoch(
 
     Countries listed by ``unclassifiable`` are left out.
     """
-    f, o, i = (scores.index[p] for p in PILLARS)
     skip = set(unclassifiable(scores))
+    by_code = sorted((code, k) for k, code in enumerate(scores.countries))
+    order = [k for code, k in by_code if code not in skip]
+    index = np.array([scores.index[p] for p in PILLARS], dtype=float)
+    ids, border = _cluster_ids(index[:, order], threshold, epsilon)
     return [
-        classify(float(f[k]), float(o[k]), float(i[k]), threshold=threshold, epsilon=epsilon, country=code)
-        for code, k in sorted((code, k) for k, code in enumerate(scores.countries))
-        if code not in skip
+        ClusterAssignment(scores.countries[k], c, PILLAR_SETS[m])
+        for k, c, m in zip(order, ids.tolist(), border.tolist())
     ]
 
 
@@ -173,19 +171,12 @@ def shift_report(
     by_a = {x.country: x for x in a}
     by_b = {x.country: x for x in b}
     check_same_countries(by_a, by_b)
-    shifts = []
-    trans = np.zeros((8, 8), dtype=int)
-    for code in sorted(by_a):
-        fr, to = by_a[code], by_b[code]
-        shifts.append(
-            CountryShift(
-                country=code,
-                from_cluster=fr.cluster_id,
-                to_cluster=to.cluster_id,
-                delta_h=to.high_count - fr.high_count,
-            )
-        )
-        trans[fr.cluster_id - 1, to.cluster_id - 1] += 1
+    codes = sorted(by_a)
+    fr = np.array([by_a[code].cluster_id for code in codes], dtype=int)
+    to = np.array([by_b[code].cluster_id for code in codes], dtype=int)
+    trans = np.bincount(8 * (fr - 1) + (to - 1), minlength=64).reshape(8, 8)
+    delta_h = _HIGH_COUNT[to] - _HIGH_COUNT[fr]
+    shifts = [CountryShift(*row) for row in zip(codes, fr.tolist(), to.tolist(), delta_h.tolist())]
     movers_key = lambda s: (-abs(s.delta_h), s.country)
     return ShiftReport(
         epoch_from=epoch_from,

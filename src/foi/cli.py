@@ -24,8 +24,8 @@ from .classify import (
     shift_report,
     unclassifiable,
 )
-from .errors import FoiError, SingularMatrixError, UndefinedStatisticError
-from .manifest import default_manifest, load_manifest
+from .errors import FoiError, SchemaError, SingularMatrixError, UndefinedStatisticError
+from .manifest import PILLARS, default_manifest, load_manifest
 from .panel import load_panel, validate_panel, write_panel
 from .reference import verify_reference
 from .rescale import rescale_panel
@@ -243,40 +243,70 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _of(*types):
+    """A test that a value's type is one of ``types`` (a bool is not an int)."""
+    return lambda v: type(v) in types
+
+
+# the keys of each row of the result documents ``export`` reads, and the
+# test each value must pass
+_ROW_TESTS = {
+    "scores": {"country": _of(str)}
+    | {f"{p.lower()}_index": lambda v: v is None or type(v) in (int, float) and 1 <= v <= 7 for p in PILLARS}
+    | {f"{p.lower()}_rank": _of(int, type(None)) for p in PILLARS},
+    "assignments": {
+        "country": _of(str), "levels": _of(str), "label": _of(str),
+        "cluster": lambda v: type(v) is int and 1 <= v <= 8,
+        "borderline": lambda v: type(v) is list and all(p in PILLARS for p in v),
+    },
+}
+
+
+def _result_rows(path, payload) -> tuple[str, list[dict]]:
+    """The section (``scores`` or ``assignments``) and the rows of a
+    result document. A row that is not an object holding each key of
+    ``_ROW_TESTS`` with a value that passes its test is a ``SchemaError``
+    that names the row and the key."""
+    section = next((s for s in _ROW_TESTS if isinstance(payload, dict) and s in payload), None)
+    if section is None:
+        raise FoiError(f"{path}: unrecognized result document (no 'scores' or 'assignments' key)")
+    rows = payload[section]
+    if not isinstance(rows, list):
+        raise SchemaError(f"{path}: {section!r} must be a list of rows, got {rows!r}")
+    for n, row in enumerate(rows, start=1):
+        for key, test in _ROW_TESTS[section].items():
+            if not isinstance(row, dict) or key not in row:
+                raise SchemaError(f"{path}: {section} row {n} has no {key!r}")
+            if not test(row[key]):
+                raise SchemaError(f"{path}: {section} row {n}: {key!r} cannot be {row[key]!r}")
+    return section, rows
+
+
 def cmd_export(args) -> int:
     with open(args.infile, encoding="utf-8") as fh:
         payload = json.load(fh)
-    if "scores" in payload:
-        rows = payload["scores"]
-        countries = tuple(r["country"] for r in rows)
-        index = {
-            p: np.array(
-                [r[f"{p.lower()}_index"] if r[f"{p.lower()}_index"] is not None else np.nan for r in rows]
-            )
-            for p in ("F", "O", "I")
-        }
-        rank = None
-        if all(r.get("f_rank") is not None for r in rows):
-            rank = {p: np.array([r[f"{p.lower()}_rank"] for r in rows], dtype=int) for p in ("F", "O", "I")}
-        scores = pillar.FoiScores(epoch=payload.get("epoch", 0), countries=countries, index=index, rank=rank)
+    section, rows = _result_rows(args.infile, payload)
+    if section == "scores":
+        # a null index is nan; the ranks are kept only when no rank is null
+        index = {p: np.array([r[f"{p.lower()}_index"] for r in rows], dtype=float) for p in PILLARS}
+        ranks = {p: [r[f"{p.lower()}_rank"] for r in rows] for p in PILLARS}
+        ranked = not any(None in v for v in ranks.values())
+        rank = {p: np.array(v, dtype=int) for p, v in ranks.items()} if ranked else None
+        scores = pillar.FoiScores(payload.get("epoch", 0), tuple(r["country"] for r in rows), index, rank)
         report.write_text(report.render_scores(scores, args.format), args.out)
         return EXIT_OK
-    if "assignments" in payload:
-        assignments = [
-            ClusterAssignment(
-                country=r["country"],
-                f_level=r["levels"][0],
-                o_level=r["levels"][1],
-                i_level=r["levels"][2],
-                cluster_id=r["cluster"],
-                label=r["label"],
-                borderline=frozenset(r["borderline"]),
-            )
-            for r in payload["assignments"]
-        ]
-        report.write_text(report.render_assignments(assignments, args.format), args.out)
-        return EXIT_OK
-    raise FoiError(f"{args.infile}: unrecognized result document (no 'scores' or 'assignments' key)")
+    # an assignment is made from its cluster id alone; the levels and the
+    # label of its row must be the ones the id implies
+    assignments = [ClusterAssignment(r["country"], r["cluster"], frozenset(r["borderline"])) for r in rows]
+    for n, (row, a) in enumerate(zip(rows, assignments), start=1):
+        for key, implied in (("levels", "".join(a.levels)), ("label", a.label)):
+            if row[key] != implied:
+                raise SchemaError(
+                    f"{args.infile}: assignments row {n} ({a.country}): "
+                    f"{key!r} {row[key]!r} contradicts cluster {a.cluster_id} ({implied!r})"
+                )
+    report.write_text(report.render_assignments(assignments, args.format), args.out)
+    return EXIT_OK
 
 
 COMMANDS = {

@@ -115,7 +115,7 @@ def correlation_matrix(data: VariableMatrix, missing: str = "pairwise") -> Corre
     pair-restricted sums and sums of squares, and X^T X the cross
     products. A pair whose restricted sum of squares is not clearly
     above its cancellation error is checked and computed again from its
-    own rows.
+    own rows. Columns are first scaled by powers of two, which is exact.
 
     Raises
     ------
@@ -133,7 +133,9 @@ def correlation_matrix(data: VariableMatrix, missing: str = "pairwise") -> Corre
     mask = observed.astype(float)
     counts = np.rint(mask.T @ mask).astype(int)
     n_obs = np.diag(counts)
+    e = _magnitude_exponents(grid)
     x = np.where(observed, grid, 0.0)
+    np.ldexp(x, -e, out=x)
     mean = np.divide(x.sum(axis=0), n_obs, out=np.zeros(p), where=n_obs > 0)
     np.subtract(x, mean, out=x, where=observed)
     cross = x.T @ x
@@ -146,7 +148,7 @@ def correlation_matrix(data: VariableMatrix, missing: str = "pairwise") -> Corre
         r = (cross - sums * sums.T / counts) / (np.sqrt(ss) * np.sqrt(ss.T))
         unsure = ~((ss * _CANCELLATION > sumsq) & (sumsq > _SMALLEST_SUMSQ))
     for j in np.flatnonzero(np.diag(unsure) & (n_obs > 0)):
-        if _zero_variance(grid[observed[:, j], j]):
+        if _zero_variance(np.ldexp(grid[observed[:, j], j], -e[j])):
             raise DomainError(f"variable {data.variables[j]!r} has zero variance")
     suspect = (counts < 3) | unsure | unsure.T | ~np.isfinite(r)
     for a, b in np.argwhere(np.triu(suspect, 1)):
@@ -156,7 +158,7 @@ def correlation_matrix(data: VariableMatrix, missing: str = "pairwise") -> Corre
                 f"({data.variables[a]!r}, {data.variables[b]!r})"
             )
         ok = observed[:, a] & observed[:, b]
-        x, y = grid[ok, a], grid[ok, b]
+        x, y = np.ldexp(grid[ok, a], -e[a]), np.ldexp(grid[ok, b], -e[b])
         if _zero_variance(x) or _zero_variance(y):
             raise DomainError(
                 f"zero variance in pair ({data.variables[a]!r}, {data.variables[b]!r})"
@@ -166,6 +168,14 @@ def correlation_matrix(data: VariableMatrix, missing: str = "pairwise") -> Corre
     r += r.T
     np.fill_diagonal(r, 1.0)
     return CorrelationMatrix(variables=data.variables, values=r, pair_counts=counts)
+
+
+def _magnitude_exponents(grid: np.ndarray) -> np.ndarray:
+    """Per column, the exponent e of ``np.frexp`` of its largest magnitude.
+    ``np.ldexp(column, -e)`` is exact, so it changes no r or z-score, but
+    keeps columns near 1e±160 from overflowing or underflowing when squared."""
+    top = np.fmax(np.fmax.reduce(grid, axis=0, initial=0.0), -np.fmin.reduce(grid, axis=0, initial=0.0))
+    return np.frexp(top)[1]
 
 
 def _zero_variance(x: np.ndarray) -> bool:
@@ -385,6 +395,7 @@ def factor_scores(
     if not complete.any():
         raise DomainError("no complete rows to score")
     base = grid[complete]
+    np.ldexp(base, -_magnitude_exponents(base), out=base)  # an exact rescale, as in correlation_matrix
     mu = base.mean(axis=0)
     sd = base.std(axis=0)
     if (sd == 0.0).any():

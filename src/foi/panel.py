@@ -67,12 +67,6 @@ class IndicatorPanel:
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
-    def column(self, indicator_id: str) -> np.ndarray:
-        return self.values[:, self.indicators.index(indicator_id)]
-
-    def row(self, country: str) -> np.ndarray:
-        return self.values[self.countries.index(country), :]
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -259,10 +253,16 @@ def write_panel(panel: IndicatorPanel, path) -> None:
     """Serialize a panel to the CSV schema ``load_panel`` reads, with
     ``\\n`` line endings; ``-`` for ``path`` means standard output."""
     with nullcontext(sys.stdout) if path == "-" else open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["country", *panel.indicators])
-        for code, row in zip(panel.countries, panel.values.tolist()):
-            writer.writerow([code, *["" if math.isnan(v) else repr(v) for v in row]])
+        _write_grid(fh, panel.indicators, panel.countries, panel.values)
+
+
+def _write_grid(fh, columns, codes, values: np.ndarray) -> None:
+    """Write a ``country,<column ids...>`` CSV grid to the stream ``fh``:
+    floats as ``repr``, ``nan`` as an empty cell, ``\\n`` line endings."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["country", *columns])
+    for code, row in zip(codes, values.tolist()):
+        writer.writerow([code, *["" if math.isnan(v) else repr(v) for v in row]])
 
 
 def validate_panel(panel: IndicatorPanel) -> ValidationReport:

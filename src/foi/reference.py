@@ -16,10 +16,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .classify import DEFAULT_EPSILON, DEFAULT_THRESHOLD, CLUSTER_LEVELS, classify
+from .classify import DEFAULT_EPSILON, DEFAULT_THRESHOLD, PILLAR_SETS, classify
 from .errors import DomainError, FixtureIntegrityError
-
-PILLAR_ORDER = ("F", "O", "I")
 
 
 @dataclass(frozen=True)
@@ -107,31 +105,15 @@ def verify_reference(
     key = str(epoch)
     if key not in fx.indices:
         raise DomainError(f"no reference data for epoch {epoch}; have {sorted(fx.indices)}")
-    matches = 0
     mismatches = []
     for code in sorted(fx.countries):
-        f = fx.index_value(epoch, code, "F")
-        o = fx.index_value(epoch, code, "O")
-        i = fx.index_value(epoch, code, "I")
-        got = classify(f, o, i, threshold=threshold, epsilon=epsilon, country=code)
+        values = (fx.index_value(epoch, code, p) for p in "FOI")
+        got = classify(*values, threshold=threshold, epsilon=epsilon, country=code)
         want = fx.cluster(epoch, code)
-        if got.cluster_id == want:
-            matches += 1
-            continue
-        want_levels = CLUSTER_LEVELS[want]
-        disagreeing = [
-            pillar
-            for pillar, have, need in zip(PILLAR_ORDER, got.levels, want_levels)
-            if have != need
-        ]
-        values = dict(zip(PILLAR_ORDER, (f, o, i)))
-        borderline = all(abs(values[p] - threshold) <= epsilon for p in disagreeing)
-        mismatches.append(
-            Mismatch(
-                country=code,
-                computed_cluster=got.cluster_id,
-                reference_cluster=want,
-                borderline=borderline,
-            )
-        )
+        if got.cluster_id != want:
+            # the set bits of (computed - 1) XOR (published - 1) are the
+            # pillars whose levels differ
+            disagreeing = PILLAR_SETS[(got.cluster_id - 1) ^ (want - 1)]
+            mismatches.append(Mismatch(code, got.cluster_id, want, borderline=disagreeing <= got.borderline))
+    matches = len(fx.countries) - len(mismatches)
     return VerifyReport(epoch=int(epoch), matches=matches, mismatches=tuple(mismatches))

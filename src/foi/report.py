@@ -18,6 +18,7 @@ import numpy as np
 from .classify import ClusterAssignment, ShiftReport
 from .factor import FactorModel
 from .manifest import PILLARS
+from .panel import _write_grid
 from .pillar import FoiScores
 
 FORMATS = ("table", "csv", "json")
@@ -29,8 +30,8 @@ def round_half_up(value: float, digits: int = 1) -> float:
     return float(Decimal(repr(value)).quantize(q, rounding=ROUND_HALF_UP))
 
 
-def _fmt_cell(value: float, rank: int | None) -> str:
-    if math.isnan(value):
+def _fmt_cell(value: float | None, rank: int | None) -> str:
+    if value is None:
         return ""
     shown = round_half_up(value, 1)
     text = f"{shown:.1f}".rstrip("0").rstrip(".") if shown == int(shown) else f"{shown:.1f}"
@@ -75,13 +76,7 @@ def render_scores(scores: FoiScores, fmt: str = "table") -> str:
     def table():
         lines = [f"{'country':<10}" + "".join(f"{p + '-index':>12}" for p in PILLARS)]
         for row in rows:
-            cells = [
-                _fmt_cell(
-                    row[f"{p.lower()}_index"] if row[f"{p.lower()}_index"] is not None else float("nan"),
-                    row[f"{p.lower()}_rank"],
-                )
-                for p in PILLARS
-            ]
+            cells = [_fmt_cell(row[f"{p.lower()}_index"], row[f"{p.lower()}_rank"]) for p in PILLARS]
             lines.append(f"{row['country']:<10}" + "".join(f"{c:>12}" for c in cells))
         return lines
 
@@ -120,15 +115,7 @@ def render_assignments(assignments: list[ClusterAssignment], fmt: str = "table")
 
 
 def render_shift(report: ShiftReport, fmt: str = "table") -> str:
-    rows = [
-        {
-            "country": s.country,
-            "from_cluster": s.from_cluster,
-            "to_cluster": s.to_cluster,
-            "delta_h": s.delta_h,
-        }
-        for s in report.shifts
-    ]
+    rows = [dict(vars(s)) for s in report.shifts]  # country, from_cluster, to_cluster, delta_h
     payload = {
         "epoch_from": report.epoch_from,
         "epoch_to": report.epoch_to,
@@ -170,20 +157,15 @@ def factor_model_to_json(model: FactorModel) -> str:
         "variance_explained": model.variance_explained,
         "converged": model.converged,
     }
-    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    return render("json", payload, None)
 
 
 def factor_scores_to_csv(model: FactorModel, prefix: str = "factor") -> str:
     """Scores CSV with one row per country; missing scores are empty cells."""
-    buf = io.StringIO()
     k = model.rotated_loadings.shape[1]
-    fields = ["country"] + [f"{prefix}{j + 1}" for j in range(k)]
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fields)
     scores = model.scores if model.scores is not None else np.full((len(model.score_rows), k), np.nan)
-    for i, code in enumerate(model.score_rows):
-        cells = ["" if math.isnan(v) else repr(float(v)) for v in scores[i]]
-        writer.writerow([code, *cells])
+    buf = io.StringIO()
+    _write_grid(buf, [f"{prefix}{j + 1}" for j in range(k)], model.score_rows, scores)
     return buf.getvalue()
 
 

@@ -1,11 +1,17 @@
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foi.classify import (
     CLUSTER_LABELS,
     CLUSTER_LEVELS,
+    ClusterAssignment,
+    CountryShift,
     classify,
     classify_epoch,
     shift_report,
@@ -127,3 +133,108 @@ def test_shift_country_set_mismatch():
         shift_report(a, b)
     assert exc.value.only_in_a == ("BBB",)
     assert exc.value.only_in_b == ("CCC",)
+
+
+def test_assignment_stores_only_the_id_and_borderline_set():
+    assert [f.name for f in dataclasses.fields(ClusterAssignment)] == ["country", "cluster_id", "borderline"]
+    a = ClusterAssignment("AAA", 6, frozenset("F"))
+    assert (a.levels, a.label, a.high_count) == (("H", "L", "H"), "-", 2)
+    out = classify_epoch(scores_from({"AAA": (4.0, 4.01, 3.0), "BBB": (3.99, 4.02, 2.0)}))
+    assert out[0].borderline == {"F", "O"} and out[0].borderline is out[1].borderline
+
+
+# ------------------------------------------------- the per-country loop oracle
+
+
+def classify_loop(f, o, i, threshold, epsilon):
+    """The per-country rule ``classify_epoch`` replaced: the oracle for
+    its levels, ids, labels, borderline sets and first error."""
+    indices = {"F": f, "O": o, "I": i}
+    for pillar, v in indices.items():
+        if not (1.0 <= v <= 7.0):
+            raise DomainError(f"{pillar}-index {v} outside [1, 7]")
+    levels = tuple("H" if v >= threshold else "L" for v in (f, o, i))
+    cluster_id = 1 + 4 * (levels[0] == "H") + 2 * (levels[1] == "H") + (levels[2] == "H")
+    borderline = frozenset(p for p, v in indices.items() if abs(v - threshold) <= epsilon)
+    return levels, cluster_id, CLUSTER_LABELS.get(cluster_id, "-"), borderline
+
+
+def classify_epoch_loop(scores, threshold, epsilon):
+    """One ``classify_loop`` call per country in code order, leaving out
+    the countries with a ``nan`` pillar index."""
+    f, o, i = (scores.index[p] for p in "FOI")
+    skip = {c for k, c in enumerate(scores.countries) if any(math.isnan(scores.index[p][k]) for p in "FOI")}
+    return [
+        (code, *classify_loop(float(f[k]), float(o[k]), float(i[k]), threshold, epsilon))
+        for code, k in sorted((code, k) for k, code in enumerate(scores.countries))
+        if code not in skip
+    ]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return str(exc)
+
+
+@st.composite
+def epochs(draw):
+    """An epoch of indices with a threshold and epsilon. Cells are drawn
+    from [1, 7], from the points at and next to t and t +- epsilon, from
+    ``nan`` and, in some epochs, from outside [1, 7]."""
+    t = draw(st.one_of(st.just(4.0), st.floats(1.0, 7.0)))
+    eps = draw(st.one_of(st.just(0.05), st.just(0.0), st.floats(0.0, 1.0)))
+    edges = [t, t + eps, t - eps, 1.0, 7.0]
+    near = edges + [float(np.nextafter(v, d)) for v in edges for d in (-np.inf, np.inf)] + [math.nan]
+    cells = [st.floats(1.0, 7.0), st.sampled_from(near)]
+    if draw(st.booleans()):
+        cells.append(st.sampled_from([0.0, 0.5, 7.5, -math.inf, math.inf, float(np.nextafter(7.0, 8.0))]))
+    n = draw(st.integers(0, 10))
+    codes = draw(st.lists(st.text("ABC", min_size=1, max_size=3), min_size=n, max_size=n, unique=True))
+    index = {p: np.array(draw(st.lists(st.one_of(cells), min_size=n, max_size=n)), dtype=float) for p in "FOI"}
+    return FoiScores(epoch=0, countries=tuple(codes), index=index), t, eps
+
+
+@settings(max_examples=400)
+@given(epochs())
+def test_classify_epoch_matches_the_per_country_loop(epoch):
+    scores, t, eps = epoch
+    want = _outcome(classify_epoch_loop, scores, t, eps)
+    got = _outcome(classify_epoch, scores, t, eps)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert [(a.country, a.levels, a.cluster_id, a.label, a.borderline) for a in got] == want
+
+
+def shift_loop(a, b):
+    """The dict loop ``shift_report`` replaced: shifts in code order, the
+    transition counts, and the movers by |delta_h| then code."""
+    by_a = {x.country: x for x in a}
+    by_b = {x.country: x for x in b}
+    high = lambda x: bin(x.cluster_id - 1).count("1")
+    shifts = []
+    trans = np.zeros((8, 8), dtype=int)
+    for code in sorted(by_a):
+        fr, to = by_a[code], by_b[code]
+        shifts.append(CountryShift(code, fr.cluster_id, to.cluster_id, high(to) - high(fr)))
+        trans[fr.cluster_id - 1, to.cluster_id - 1] += 1
+    key = lambda s: (-abs(s.delta_h), s.country)
+    upward = tuple(sorted((s for s in shifts if s.delta_h > 0), key=key))
+    downward = tuple(sorted((s for s in shifts if s.delta_h < 0), key=key))
+    return tuple(shifts), trans, upward, downward, tuple(s for s in shifts if s.from_cluster == s.to_cluster)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_shift_report_matches_the_dict_loop(data):
+    codes = data.draw(st.lists(st.text("ABC", min_size=1, max_size=3), max_size=12, unique=True))
+    ids = st.lists(st.integers(1, 8), min_size=len(codes), max_size=len(codes))
+    a = [ClusterAssignment(c, k) for c, k in zip(codes, data.draw(ids))]
+    b = [ClusterAssignment(c, k) for c, k in zip(data.draw(st.permutations(codes)), data.draw(ids))]
+    rep = shift_report(a, b)
+    shifts, trans, upward, downward, stayers = shift_loop(a, b)
+    assert rep.shifts == shifts
+    assert np.array_equal(rep.transitions, trans) and rep.transitions.shape == (8, 8)
+    assert (rep.upward, rep.downward, rep.stayers) == (upward, downward, stayers)

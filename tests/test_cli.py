@@ -1,6 +1,8 @@
 import functools
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -127,6 +129,49 @@ def test_export_round_trip(capsys, tmp_path):
     # json round-trips to identical in-memory values
     code, out_json, _ = run(capsys, "export", "--in", str(json_path), "--format", "json")
     assert json.loads(out_json) == json.loads(json_path.read_text())
+
+
+ROW = {"country": "AUS", "f_index": 4.5, "f_rank": 3, "o_index": 3.0, "o_rank": 9, "i_index": None, "i_rank": 1}
+CELL = {"country": "AUS", "levels": "HHH", "cluster": 8, "label": "Human capital-based", "borderline": ["O"]}
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ({"assignments": [CELL, {**CELL, "country": "BEL", "levels": "LLL", "label": "Traditional"}]},
+         r"assignments row 2 \(BEL\): 'levels' 'LLL' contradicts cluster 8 \('HHH'\)"),
+        ({"assignments": [{**CELL, "label": "Traditional"}]},
+         r"assignments row 1 \(AUS\): 'label' 'Traditional' contradicts cluster 8"),
+        ({"assignments": [{**CELL, "cluster": 9}]}, r"assignments row 1: 'cluster' cannot be 9"),
+        ({"assignments": [{**CELL, "cluster": True}]}, r"assignments row 1: 'cluster' cannot be True"),
+        ({"assignments": [{**CELL, "borderline": ["O", "X"]}]}, r"assignments row 1: 'borderline' cannot be \['O', 'X'\]"),
+        ({"assignments": [{**CELL, "borderline": "FO"}]}, r"assignments row 1: 'borderline' cannot be 'FO'"),
+        ({"scores": [ROW, {k: v for k, v in ROW.items() if k != "o_index"}]}, r"scores row 2 has no 'o_index'"),
+        ({"scores": 5}, r"'scores' must be a list of rows, got 5"),
+        ({"scores": [ROW, [1, 2]]}, r"scores row 2 has no 'country'"),
+        ({"scores": [{**ROW, "f_index": "4.5"}]}, r"scores row 1: 'f_index' cannot be '4.5'"),
+        ({"scores": [{**ROW, "o_index": math.inf}]}, r"scores row 1: 'o_index' cannot be inf"),
+        ({"scores": [{**ROW, "i_rank": 1.0}]}, r"scores row 1: 'i_rank' cannot be 1.0"),
+        (["scores"], r"unrecognized result document"),
+    ],
+)
+def test_export_rejects_a_malformed_or_contradictory_document(capsys, tmp_path, document, message):
+    path = tmp_path / "result.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run(capsys, "export", "--in", str(path), "--format", "table")
+    assert (code, out) == (1, "")
+    assert re.search(message, err), err
+
+
+def test_export_takes_levels_and_label_from_the_cluster_id(capsys, tmp_path):
+    path = tmp_path / "result.json"
+    path.write_text(json.dumps({"assignments": [CELL, {**CELL, "country": "BEL", "levels": "HLH", "cluster": 6, "label": "-"}]}))
+    code, out, _ = run(capsys, "export", "--in", str(path), "--format", "csv")
+    assert code == 0
+    assert out == "country,levels,cluster,label,borderline\nAUS,HHH,8,Human capital-based,O\nBEL,HLH,6,-,O\n"
+    path.write_text(json.dumps({"scores": [ROW]}))
+    code, out, _ = run(capsys, "export", "--in", str(path), "--format", "table")
+    assert code == 0 and out.splitlines()[1].split() == ["AUS", "4.5", "(3)", "3", "(9)"]
 
 
 @pytest.mark.parametrize(

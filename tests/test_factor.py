@@ -112,10 +112,14 @@ def test_listwise_drops_incomplete_rows():
 
 def correlation_loop(data, missing="pairwise"):
     """The pair-by-pair Pearson loop ``correlation_matrix`` replaced: the
-    oracle for its values, pair counts and first error."""
+    oracle for its values, pair counts and first error. Each column is
+    first multiplied by the power of two that brings its largest
+    magnitude into [0.5, 1), which is exact; unscaled, a varying column
+    near 1e-200 squares to 0 and reads as zero variance."""
     grid = data.values
     if missing == "listwise":
         grid = grid[(~np.isnan(grid)).all(axis=1)]
+    grid = np.ldexp(grid, -np.frexp(np.nanmax(np.abs(grid), axis=0, initial=0.0))[1])
     p = len(data.variables)
     r = np.eye(p)
     counts = np.zeros((p, p), dtype=int)
@@ -247,6 +251,36 @@ def test_pair_constant_on_shared_rows_whose_std_rounds_off_zero_named(missing):
     with pytest.raises(DomainError, match=want):
         correlation_matrix(vm(grid), missing=missing)
     assert_matches_loop(vm(grid), missing)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160, 1e-200])
+def test_correlation_of_extreme_magnitudes(scale, monkeypatch):
+    # unscaled, the products overflow (1e160), lose digits in subnormals
+    # (1e-160, relative error 3.6e-7) or read as zero variance (1e-200)
+    grid = np.array([[1.0, 1.0], [2.0, 3.0], [4.0, 2.0], [3.0, 7.0]])
+    want = correlation_matrix(vm(grid)).values
+    # scaled before the matrix products, no pair needs the per-pair recheck
+    monkeypatch.setattr("foi.factor._zero_variance", lambda x: pytest.fail("per-pair recheck ran"))
+    assert np.abs(correlation_matrix(vm(grid * scale)).values - want).max() <= 1e-12
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(st.floats(-200.0, 200.0), min_size=6, max_size=6),
+    st.sampled_from(["pairwise", "listwise"]),
+)
+def test_correlation_and_scores_unchanged_by_column_scales(exponents, missing):
+    data, _ = synthesize_known_factors(p=6, k=2, n=40, seed=5)
+    grid = np.array(data.values)
+    grid[np.random.default_rng(5).random(grid.shape) < 0.05] = np.nan
+    scaled = grid * 10.0 ** np.array(exponents)
+    assert np.isfinite(scaled[~np.isnan(grid)]).all() and (scaled[~np.isnan(grid)] != 0).all()
+    want = fit_factor_model(vm(grid), k=2, missing=missing)
+    got = fit_factor_model(vm(scaled), k=2, missing=missing)
+    r_want = correlation_matrix(vm(grid), missing=missing).values
+    assert np.abs(correlation_matrix(vm(scaled), missing=missing).values - r_want).max() <= 1e-12
+    assert np.array_equal(np.isnan(got.scores), np.isnan(want.scores))
+    assert np.nanmax(np.abs(got.scores - want.scores)) <= 1e-12
 
 
 def test_too_few_complete_pairs():

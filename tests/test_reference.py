@@ -2,7 +2,7 @@ import pytest
 
 from foi.classify import CLUSTER_LEVELS, classify
 from foi.errors import DomainError
-from foi.reference import load_fixture, verify_reference
+from foi.reference import ReferenceFixture, load_fixture, verify_reference
 
 
 def test_fixture_shape_and_checksum():
@@ -96,3 +96,15 @@ def test_published_values_classify_as_expected():
     assert jpn.cluster_id == 6
     hun = classify(*(fx.index_value(2020, "HUN", p) for p in "FOI"))
     assert hun.cluster_id == 3
+
+
+def test_mismatch_is_borderline_only_when_every_disagreeing_pillar_is(monkeypatch):
+    # computed HHL (7) against published LLL (1): F and O disagree; F lies
+    # within epsilon of the threshold, O only in the second country
+    indices = {"AAA": {"F": [4.02, 1], "O": [4.5, 1], "I": [3.0, 1]},
+               "BBB": {"F": [4.02, 2], "O": [4.03, 2], "I": [3.0, 2]}}
+    fx = ReferenceFixture(countries={"AAA": "A", "BBB": "B"}, indices={"2020": indices},
+                          clusters={"2020": {"AAA": 1, "BBB": 1}}, factor_columns=(), factor_values={})
+    monkeypatch.setattr("foi.reference.load_fixture", lambda: fx)
+    rep = verify_reference(2020)
+    assert (rep.hard_mismatches, rep.borderline_mismatches) == (("AAA",), ("BBB",))
