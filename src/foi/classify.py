@@ -124,14 +124,13 @@ def classify_epoch(
 
     Countries listed by ``unclassifiable`` are left out.
     """
-    skip = set(unclassifiable(scores))
-    by_code = sorted((code, k) for k, code in enumerate(scores.countries))
-    order = [k for code, k in by_code if code not in skip]
-    index = np.array([scores.index[p] for p in PILLARS], dtype=float)
-    ids, border = _cluster_ids(index[:, order], threshold, epsilon)
+    index = np.array([scores.index[p] for p in PILLARS], dtype=float)[:, scores.code_order]
+    keep = ~np.isnan(index).any(axis=0)
+    ids, border = _cluster_ids(index[:, keep], threshold, epsilon)
+    countries = scores.countries
     return [
-        ClusterAssignment(scores.countries[k], c, PILLAR_SETS[m])
-        for k, c, m in zip(order, ids.tolist(), border.tolist())
+        ClusterAssignment(countries[k], c, PILLAR_SETS[m])
+        for k, c, m in zip(scores.code_order[keep].tolist(), ids.tolist(), border.tolist())
     ]
 
 
@@ -177,13 +176,14 @@ def shift_report(
     trans = np.bincount(8 * (fr - 1) + (to - 1), minlength=64).reshape(8, 8)
     delta_h = _HIGH_COUNT[to] - _HIGH_COUNT[fr]
     shifts = [CountryShift(*row) for row in zip(codes, fr.tolist(), to.tolist(), delta_h.tolist())]
-    movers_key = lambda s: (-abs(s.delta_h), s.country)
+    # movers by |delta_h| descending, then code (the shifts are in code order)
+    by_size = [shifts[k] for k in np.lexsort((np.arange(len(codes)), -np.abs(delta_h))).tolist()]
     return ShiftReport(
         epoch_from=epoch_from,
         epoch_to=epoch_to,
         shifts=tuple(shifts),
         transitions=trans,
-        upward=tuple(sorted((s for s in shifts if s.delta_h > 0), key=movers_key)),
-        downward=tuple(sorted((s for s in shifts if s.delta_h < 0), key=movers_key)),
+        upward=tuple(s for s in by_size if s.delta_h > 0),
+        downward=tuple(s for s in by_size if s.delta_h < 0),
         stayers=tuple(s for s in shifts if s.from_cluster == s.to_cluster),
     )

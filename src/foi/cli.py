@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .classify import (
     shift_report,
     unclassifiable,
 )
-from .errors import FoiError, SchemaError, SingularMatrixError, UndefinedStatisticError
+from .errors import DataWarning, FoiError, SchemaError, SingularMatrixError, UndefinedStatisticError
 from .manifest import PILLARS, default_manifest, load_manifest
 from .panel import load_panel, validate_panel, write_panel
 from .reference import verify_reference
@@ -40,6 +41,14 @@ def _add_panel_flags(sp, panel_required=True):
     sp.add_argument("--panel", required=panel_required, help="panel CSV path")
     sp.add_argument("--manifest", help="manifest JSON path (default: built-in 24-indicator manifest)")
     sp.add_argument("--epoch", type=int, default=0, help="epoch year label")
+    _add_absent_flag(sp)
+
+
+def _add_absent_flag(sp):
+    sp.add_argument(
+        "--allow-absent-indicators", action="store_true",
+        help="read a panel that lacks some manifest indicators, with a warning, instead of failing",
+    )
 
 
 def _add_output_flags(sp):
@@ -78,6 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--manifest")
     sp.add_argument("--epoch-a", type=int, default=0)
     sp.add_argument("--epoch-b", type=int, default=0)
+    _add_absent_flag(sp)
     sp.add_argument("--missing-policy", choices=pillar.MISSING_POLICIES, default="available_mean")
     sp.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     sp.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
@@ -108,15 +118,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_inputs(args):
     manifest = load_manifest(args.manifest) if args.manifest else default_manifest()
-    panel = load_panel(args.panel, manifest, epoch=getattr(args, "epoch", 0))
+    panel = load_panel(args.panel, manifest, epoch=args.epoch, allow_absent=args.allow_absent_indicators)
     return manifest, panel
 
 
-def _scores_for(panel_path, manifest, epoch, missing_policy):
-    panel = load_panel(panel_path, manifest, epoch=epoch)
+def _scores_for(args, panel_path, manifest, epoch):
+    """Ranked indices of one panel file, and the panel's indicator ids."""
+    panel = load_panel(panel_path, manifest, epoch=epoch, allow_absent=args.allow_absent_indicators)
     rescaled = rescale_panel(panel, manifest)
-    scores = pillar.compute_pillar_scores(rescaled, manifest, missing_policy=missing_policy)
-    return pillar.rank_countries(scores)
+    del panel  # frees the raw grid before the aggregation
+    scores = pillar.compute_pillar_scores(rescaled, manifest, missing_policy=args.missing_policy)
+    return pillar.rank_countries(scores), rescaled.indicators
 
 
 def _warn(command, message):
@@ -162,14 +174,14 @@ def cmd_rescale(args) -> int:
 
 def cmd_indices(args) -> int:
     manifest = load_manifest(args.manifest) if args.manifest else default_manifest()
-    scores = _scores_for(args.panel, manifest, args.epoch, args.missing_policy)
+    scores, _ = _scores_for(args, args.panel, manifest, args.epoch)
     report.write_text(report.render_scores(scores, args.format), args.out)
     return EXIT_OK
 
 
 def cmd_classify(args) -> int:
     manifest = load_manifest(args.manifest) if args.manifest else default_manifest()
-    scores = _scores_for(args.panel, manifest, args.epoch, args.missing_policy)
+    scores, _ = _scores_for(args, args.panel, manifest, args.epoch)
     assignments = classify_epoch(scores, threshold=args.threshold, epsilon=args.epsilon)
     _warn_left_out(args.command, unclassifiable(scores))
     report.write_text(report.render_assignments(assignments, args.format), args.out)
@@ -178,10 +190,14 @@ def cmd_classify(args) -> int:
 
 def cmd_shift(args) -> int:
     manifest = load_manifest(args.manifest) if args.manifest else default_manifest()
-    epochs = [
-        _scores_for(path, manifest, epoch, args.missing_policy)
+    (scores_a, ind_a), (scores_b, ind_b) = (
+        _scores_for(args, path, manifest, epoch)
         for path, epoch in ((args.panel_a, args.epoch_a), (args.panel_b, args.epoch_b))
-    ]
+    )
+    if ind_a != ind_b:  # both in the manifest's order
+        only_a, only_b = sorted(set(ind_a) - set(ind_b)), sorted(set(ind_b) - set(ind_a))
+        raise SchemaError(f"indicator sets differ: only in first epoch {only_a}, only in second {only_b}")
+    epochs = (scores_a, scores_b)
     # compare the panels' countries before leaving out the unclassifiable
     # ones, which could otherwise hide a country missing from one panel
     check_same_countries(epochs[0].countries, epochs[1].countries)
@@ -323,14 +339,23 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return COMMANDS[args.command](args)
-    except (SingularMatrixError, UndefinedStatisticError) as exc:
-        print(f"foi {args.command}: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (FoiError, OSError, json.JSONDecodeError) as exc:
-        print(f"foi {args.command}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    with warnings.catch_warnings():
+        # each DataWarning of the library is one "foi <verb>: warning:" line
+        warnings.simplefilter("always", DataWarning)
+        show = warnings.showwarning
+        warnings.showwarning = lambda message, category, *rest: (
+            _warn(args.command, message)
+            if issubclass(category, DataWarning)
+            else show(message, category, *rest)
+        )
+        try:
+            return COMMANDS[args.command](args)
+        except (SingularMatrixError, UndefinedStatisticError) as exc:
+            print(f"foi {args.command}: numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
+        except (FoiError, OSError, json.JSONDecodeError) as exc:
+            print(f"foi {args.command}: {exc}", file=sys.stderr)
+            return EXIT_INPUT
 
 
 if __name__ == "__main__":

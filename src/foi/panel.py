@@ -8,15 +8,16 @@ so two files with permuted columns load to identical panels.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
-import math
 import sys
+import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DuplicateCountryError, PanelParseError, SchemaError
+from .errors import DataWarning, DuplicateCountryError, PanelParseError, SchemaError
 from .manifest import IndicatorManifest
 
 
@@ -220,19 +221,24 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def load_panel(panel_csv, manifest: IndicatorManifest, epoch: int = 0) -> IndicatorPanel:
+def load_panel(
+    panel_csv, manifest: IndicatorManifest, epoch: int = 0, allow_absent: bool = False
+) -> IndicatorPanel:
     """Read a ``country,<indicator ids...>`` CSV into a panel.
 
     Blank lines are skipped. An empty cell or the literal ``nan`` is a
     missing value. Column order in the result follows the manifest
-    regardless of the file's column order.
+    regardless of the file's column order. With ``allow_absent``, a file
+    that lacks some manifest indicators is read, and a ``DataWarning``
+    names them: each pillar index then averages the components present.
 
     Raises
     ------
     SchemaError
         If the file is empty, the first header column is not
-        ``country``, a column repeats or is absent from the manifest,
-        or a row has the wrong number of cells.
+        ``country``, a column repeats or is absent from the manifest, a
+        manifest indicator has no column (unless ``allow_absent``), or a
+        row has the wrong number of cells.
     DuplicateCountryError
         If a country code appears twice.
     PanelParseError
@@ -245,6 +251,13 @@ def load_panel(panel_csv, manifest: IndicatorManifest, epoch: int = 0) -> Indica
     for col in columns:
         if col not in known:
             raise SchemaError(f"{panel_csv}: unknown indicator column {col!r}")
+    present = set(columns)
+    absent = [ind for ind in manifest.ids if ind not in present]
+    if absent:
+        message = f"{panel_csv}: no column for manifest indicators {', '.join(absent)}"
+        if not allow_absent:
+            raise SchemaError(message)
+        warnings.warn(f"{message}; their pillars average the indicators present", DataWarning, stacklevel=2)
     grid.setflags(write=False)  # the panel takes it without a copy
     return IndicatorPanel(epoch=epoch, countries=tuple(countries), indicators=tuple(columns), values=grid)
 
@@ -258,11 +271,21 @@ def write_panel(panel: IndicatorPanel, path) -> None:
 
 def _write_grid(fh, columns, codes, values: np.ndarray) -> None:
     """Write a ``country,<column ids...>`` CSV grid to the stream ``fh``:
-    floats as ``repr``, ``nan`` as an empty cell, ``\\n`` line endings."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["country", *columns])
+    floats as ``repr``, ``nan`` as an empty cell, ``\\n`` line endings,
+    byte for byte as ``csv.writer`` writes it. Only the header and the
+    codes can need quoting, so only they go through ``csv``."""
+    csv.writer(fh, lineterminator="\n").writerow(["country", *columns])
     for code, row in zip(codes, values.tolist()):
-        writer.writerow([code, *["" if math.isnan(v) else repr(v) for v in row]])
+        cells = ["" if v != v else repr(v) for v in row]  # v != v: nan
+        fh.write(",".join([code if code.isalnum() else _csv_field(code), *cells]) or '""')
+        fh.write("\n")
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it, as one field of a longer row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
 
 
 def validate_panel(panel: IndicatorPanel) -> ValidationReport:

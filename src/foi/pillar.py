@@ -9,6 +9,7 @@ series still counts once in the pillar mean.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +40,13 @@ class FoiScores:
             if pillar not in self.index:
                 raise DomainError(f"missing pillar {pillar!r} in index map")
 
+    @cached_property
+    def code_order(self) -> np.ndarray:
+        """Positions of ``countries`` sorted by code, in Python's string
+        order: numpy's fixed-width strings would drop a trailing NUL and
+        tie "A" with "A\\0". Computed once, on first use."""
+        return np.array(sorted(range(len(self.countries)), key=self.countries.__getitem__), dtype=np.intp)
+
 
 def compute_pillar_scores(
     rescaled: IndicatorPanel,
@@ -54,49 +62,75 @@ def compute_pillar_scores(
     """
     if missing_policy not in MISSING_POLICIES:
         raise DomainError(f"missing_policy must be one of {MISSING_POLICIES}, got {missing_policy!r}")
-    n = len(rescaled.countries)
-    index: dict[str, np.ndarray] = {}
+    n, p = rescaled.values.shape
     col_of = {ind: j for j, ind in enumerate(rescaled.indicators)}
+    # per pillar, the panel columns of each component's members as an
+    # (m, components) array, padded with column p, which is all nan
+    members = {}
     for pillar in PILLARS:
         components = manifest.pillar_components(pillar)
         if not components:
             raise AggregationError(f"manifest has no components for pillar {pillar!r}")
-        comp_vals = np.full((n, len(components)), np.nan)
-        for c, (_, members) in enumerate(components):
-            cols = [col_of[m] for m in members if m in col_of]
-            if not cols:
-                continue
-            block = rescaled.values[:, cols]
-            cnt = (~np.isnan(block)).sum(axis=1)
-            total = np.nansum(block, axis=1)
-            comp_vals[:, c] = np.where(cnt > 0, total / np.maximum(cnt, 1), np.nan)
-        observed = ~np.isnan(comp_vals)
-        count = observed.sum(axis=1)
-        if missing_policy == "available_mean" and not count.all():
-            i = np.flatnonzero(count == 0)[0]
+        cols = [[col_of[m] for m in ids if m in col_of] for _, ids in components]
+        width = max(map(len, cols))
+        members[pillar] = np.array([c + [p] * (width - len(c)) for c in cols], dtype=np.intp).T
+    index = {pillar: np.empty(n) for pillar in PILLARS}
+    count = {pillar: np.empty(n, dtype=int) for pillar in PILLARS}
+    # a block of countries at a time, so that every temporary stays small
+    rows = max(1, min(n, _BLOCK_CELLS // (p + 1)))
+    columns = np.full((p + 1, rows), np.nan)
+    for i in range(0, n, rows):
+        block = rescaled.values[i : i + rows]
+        columns[:p, : len(block)] = block.T  # the block's indicators as contiguous rows
+        for pillar, cols in members.items():
+            count[pillar][i : i + rows], index[pillar][i : i + rows] = _pillar_means(
+                columns[:, : len(block)][cols], missing_policy
+            )
+    for pillar in PILLARS:
+        if missing_policy == "available_mean" and not count[pillar].all():
+            i = np.flatnonzero(count[pillar] == 0)[0]
             raise AggregationError(
                 f"country {rescaled.countries[i]!r} has no observed components in pillar {pillar!r}"
             )
-        # observed components first, in manifest order, then one row-wise
-        # mean per observed count: the same sums, in the same order, as a
-        # per-country mean over the observed components
-        packed = np.take_along_axis(comp_vals, np.argsort(~observed, axis=1, kind="stable"), axis=1)
-        wanted = count == len(components) if missing_policy == "strict" else count > 0
-        out = np.full(n, np.nan)
-        for m in np.unique(count[wanted]):
-            rows = np.flatnonzero(wanted & (count == m))
-            out[rows] = packed[rows, :m].mean(axis=1)
-        index[pillar] = out
     return FoiScores(epoch=rescaled.epoch, countries=rescaled.countries, index=index)
+
+
+_BLOCK_CELLS = 1 << 18  # cells of the panel aggregated at a time (2 MB)
+
+
+def _pillar_means(values: np.ndarray, missing_policy: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each country's count of observed components and pillar index, from
+    ``values[j, c, i]``: member j of component c for country i.
+
+    A component's observed members are added one after another in
+    manifest order, from 0.0, and divided by their count. Each country's
+    observed components are then packed one country after another, and
+    averaged by one row-wise mean per count: the same sums, in the same
+    order, as a per-country mean over them.
+    """
+    seen = ~np.isnan(values)
+    total = np.zeros(values.shape[1:])
+    for x, s in zip(values, seen):
+        total += np.where(s, x, 0.0)
+    present = seen.sum(axis=0)
+    comp_vals = np.where(present > 0, total / np.maximum(present, 1), np.nan).T
+    observed = ~np.isnan(comp_vals)
+    count = observed.sum(axis=1)
+    packed = comp_vals[observed]
+    start = np.cumsum(count) - count
+    wanted = count == comp_vals.shape[1] if missing_policy == "strict" else count > 0
+    out = np.full(len(count), np.nan)
+    for m in np.flatnonzero(np.bincount(count[wanted])):
+        rows = np.flatnonzero(wanted & (count == m))
+        out[rows] = packed[start[rows, None] + np.arange(m)].mean(axis=1)
+    return count, out
 
 
 def rank_countries(scores: FoiScores) -> FoiScores:
     """Fill ranks: rank 1 = highest index, ties broken by country code."""
     n = len(scores.countries)
-    # each code's place in Python's string order; numpy's fixed-width
-    # strings would drop a trailing NUL and tie "A" with "A\0"
-    by_code = np.empty(n, dtype=int)
-    by_code[sorted(range(n), key=scores.countries.__getitem__)] = np.arange(n)
+    by_code = np.empty(n, dtype=int)  # each code's place in code order
+    by_code[scores.code_order] = np.arange(n)
     ranks: dict[str, np.ndarray] = {}
     for pillar in PILLARS:
         key = -np.asarray(scores.index[pillar], dtype=float)
@@ -104,4 +138,6 @@ def rank_countries(scores: FoiScores) -> FoiScores:
         r = np.empty(n, dtype=int)
         r[np.lexsort((by_code, key))] = np.arange(1, n + 1)
         ranks[pillar] = r
-    return FoiScores(epoch=scores.epoch, countries=scores.countries, index=scores.index, rank=ranks)
+    ranked = FoiScores(epoch=scores.epoch, countries=scores.countries, index=scores.index, rank=ranks)
+    vars(ranked)["code_order"] = scores.code_order  # the same countries: no second sort
+    return ranked

@@ -12,6 +12,8 @@ import io
 import json
 import math
 from decimal import ROUND_HALF_UP, Decimal
+from functools import lru_cache
+from operator import attrgetter
 
 import numpy as np
 
@@ -93,11 +95,27 @@ def assignments_to_rows(assignments: list[ClusterAssignment]) -> list[dict]:
             "label": a.label,
             "borderline": sorted(a.borderline),
         }
-        for a in sorted(assignments, key=lambda a: a.country)
+        for a in sorted(assignments, key=attrgetter("country"))
     ]
 
 
+@lru_cache(maxsize=64)
+def _row_json(cluster_id: int, borderline: frozenset) -> str:
+    """One row of the assignments document as ``render`` lays it out
+    (``indent=1``, sorted keys, two levels deep), with ``%s`` for the
+    quoted country code. One per cluster id and borderline set."""
+    row = assignments_to_rows([ClusterAssignment("\0", cluster_id, borderline)])[0]
+    text = json.dumps(row, indent=1, sort_keys=True).replace('"\\u0000"', "%s")
+    return "  " + text.replace("\n", "\n  ")
+
+
 def render_assignments(assignments: list[ClusterAssignment], fmt: str = "table") -> str:
+    if fmt == "json" and assignments:
+        # the bytes of render("json", ...), written row by row from templates
+        quote = json.encoder.encode_basestring_ascii
+        rows = [_row_json(a.cluster_id, a.borderline) % quote(a.country)
+                for a in sorted(assignments, key=attrgetter("country"))]
+        return '{\n "assignments": [\n' + ",\n".join(rows) + "\n ]\n}\n"
     rows = assignments_to_rows(assignments)
 
     def table():

@@ -8,9 +8,11 @@ the panel at hand, so the scale is relative to the analyzed set.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
-from .errors import EmptyColumnError
+from .errors import DataWarning, EmptyColumnError
 from .manifest import IndicatorManifest
 from .panel import IndicatorPanel
 
@@ -33,13 +35,14 @@ def min_max_rescale(values, direction: str) -> np.ndarray:
     col = np.asarray(values, dtype=float)
     if np.isnan(col).all():
         raise EmptyColumnError("column has no observed values")
-    return _rescale_columns(col[:, None], np.array([direction == "lower_is_better"]))[:, 0]
+    return _rescale_columns(col[:, None], np.array([direction == "lower_is_better"]))[0][:, 0]
 
 
-def _rescale_columns(grid: np.ndarray, lower: np.ndarray) -> np.ndarray:
+def _rescale_columns(grid: np.ndarray, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rescale every column of ``grid`` onto [1, 7], reversed where
-    ``lower`` is set. Each pass runs over the whole grid in row order; the
-    arithmetic per cell is the same as one column at a time."""
+    ``lower`` is set, and mark the constant columns, which map to 4.0.
+    Each pass runs over the whole grid in row order; the arithmetic per
+    cell is the same as one column at a time."""
     lo = np.fmin.reduce(grid, axis=0, initial=np.nan)  # fmin skips nan
     hi = np.fmax.reduce(grid, axis=0, initial=np.nan)
     out = np.subtract(grid, lo)
@@ -49,19 +52,24 @@ def _rescale_columns(grid: np.ndarray, lower: np.ndarray) -> np.ndarray:
         out /= hi - lo
     out *= SCALE_HI - SCALE_LO
     out += SCALE_LO
-    out[:, hi == lo] = SCALE_MID
+    constant = hi == lo
+    out[:, constant] = SCALE_MID
     np.copyto(out, np.nan, where=np.isnan(grid))
-    return out
+    return out, constant
 
 
 def rescale_panel(panel: IndicatorPanel, manifest: IndicatorManifest) -> IndicatorPanel:
-    """Rescale every column of a panel using its manifest direction."""
+    """Rescale every column of a panel using its manifest direction.
+    Constant columns, mapped to 4.0, are named in one ``DataWarning``."""
     lower = []
     for ind, empty in zip(panel.indicators, np.isnan(panel.values).all(axis=0)):
         lower.append(manifest.by_id(ind).direction == "lower_is_better")
         if empty:
             raise EmptyColumnError(f"indicator {ind!r} has no observed values")
-    grid = _rescale_columns(panel.values, np.array(lower, dtype=bool))
+    grid, constant = _rescale_columns(panel.values, np.array(lower, dtype=bool))
+    if constant.any():
+        names = ", ".join(ind for ind, c in zip(panel.indicators, constant) if c)
+        warnings.warn(f"constant columns mapped to {SCALE_MID}: {names}", DataWarning, stacklevel=2)
     grid.setflags(write=False)  # the panel takes it without a copy
     return IndicatorPanel(
         epoch=panel.epoch,

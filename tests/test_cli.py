@@ -298,3 +298,51 @@ def test_factors_loads_scipy_special_but_not_scipy_stats():
     code = f"import foi.cli\nassert foi.cli.main({['factors', '--panel', FA_PANEL]!r}) == 0"
     loaded = _scipy_modules_after(code)
     assert "'scipy.special'" in loaded and "'scipy.stats'" not in loaded
+
+
+def _demo_without(tmp_path, column, name="panel.csv"):
+    """demo_panel_2020.csv without one indicator column."""
+    rows = [line.split(",") for line in open(PANEL_2020, encoding="utf-8").read().splitlines()]
+    j = rows[0].index(column)
+    path = tmp_path / name
+    path.write_text("".join(",".join(r[:j] + r[j + 1 :]) + "\n" for r in rows))
+    return str(path)
+
+
+@pytest.mark.parametrize("verb", ["ingest", "rescale", "indices", "classify"])
+def test_panel_without_a_manifest_indicator_is_an_input_error(capsys, tmp_path, verb):
+    # the parent read it silently and moved AUS's F index from 4.0886 to 4.0389
+    code, out, err = run(capsys, verb, "--panel", _demo_without(tmp_path, "social_responsibility"))
+    assert code == 1 and not out
+    assert "no column for manifest indicators social_responsibility" in err
+
+
+def test_absent_indicators_are_read_with_a_warning_when_allowed(capsys, tmp_path):
+    path = _demo_without(tmp_path, "social_responsibility")
+    code, out, err = run(capsys, "indices", "--panel", path, "--allow-absent-indicators", "--format", "json")
+    assert code == 0
+    assert err.startswith("foi indices: warning: ") and err.count("\n") == 1
+    assert "social_responsibility" in err
+    aus = next(r for r in json.loads(out)["scores"] if r["country"] == "AUS")
+    assert round(aus["f_index"], 4) == 4.0389
+
+
+def test_shift_requires_the_same_indicators_in_both_epochs(capsys, tmp_path):
+    path = _demo_without(tmp_path, "social_responsibility")
+    argv = ["shift", "--panel-a", PANEL_2010, "--panel-b", path, "--allow-absent-indicators"]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    assert "indicator sets differ: only in first epoch ['social_responsibility'], only in second []" in err
+
+
+def test_constant_columns_are_named_in_one_warning(capsys, tmp_path):
+    rows = [line.split(",") for line in open(PANEL_2020, encoding="utf-8").read().splitlines()]
+    names = [rows[0][1], rows[0][7]]
+    for r in rows[1:]:
+        r[1] = r[7] = "5"
+    path = tmp_path / "constant.csv"
+    path.write_text("".join(",".join(r) + "\n" for r in rows))
+    for verb in ("rescale", "classify"):
+        code, out, err = run(capsys, verb, "--panel", str(path))
+        assert code == 0 and out
+        assert err == f"foi {verb}: warning: constant columns mapped to 4.0: {', '.join(names)}\n"

@@ -1,13 +1,24 @@
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from foi.errors import DuplicateCountryError, PanelParseError, SchemaError
+from foi.errors import DataWarning, DuplicateCountryError, PanelParseError, SchemaError
 from foi.manifest import default_manifest, manifest_from_records
-from foi.panel import _read_grid, _read_records, _read_streamed, load_panel, validate_panel, write_panel
+from foi.panel import (
+    _read_grid,
+    _read_records,
+    _read_streamed,
+    _write_grid,
+    load_panel,
+    validate_panel,
+    write_panel,
+)
 
 from conftest import make_manifest, make_panel
 
@@ -51,6 +62,15 @@ def test_bad_cell_reports_coordinates(tmp_path):
         load_panel(path, TWO_COL)
     assert exc.value.row == 2
     assert exc.value.column == "a"
+
+
+def test_absent_manifest_indicator_is_schema_error_unless_allowed(tmp_path):
+    path = write(tmp_path, "country,b\nAAA,2\n")
+    with pytest.raises(SchemaError, match="no column for manifest indicators a$"):
+        load_panel(path, TWO_COL)
+    with pytest.warns(DataWarning, match="no column for manifest indicators a;"):
+        panel = load_panel(path, TWO_COL, allow_absent=True)
+    assert panel.indicators == ("b",)
 
 
 def test_columns_reordered_to_manifest(tmp_path):
@@ -303,3 +323,29 @@ def test_streamed_reader_equals_record_loop(tmp_path_factory, text, rnd):
         assert _outcome(_read_grid, path, order) == (
             [columns[j] for j in cols], want[1], grid.shape, grid.tobytes()
         )
+
+
+def csv_writer_grid(columns, codes, values):
+    """The writer ``_write_grid`` replaced: every row through ``csv.writer``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["country", *columns])
+    for code, row in zip(codes, values.tolist()):
+        writer.writerow([code, *["" if math.isnan(v) else repr(v) for v in row]])
+    return buf.getvalue()
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_grid_writer_equals_csv_writer(data):
+    # codes and ids with commas, quotes, CR/LF, spaces, unicode, or empty;
+    # nan, infinite, signed-zero, tiny and huge cells; no columns at all
+    text = st.text(st.sampled_from('AZaz09 ,"\r\n\t;é\u2028\U0001f600'), max_size=5)
+    p = data.draw(st.integers(0, 4))
+    columns = data.draw(st.lists(text, min_size=p, max_size=p))
+    codes = data.draw(st.lists(text, max_size=6))
+    cells = st.one_of(st.floats(), st.sampled_from([math.nan, -0.0, 5e-324, 1e308]))
+    values = data.draw(hnp.arrays(float, (len(codes), p), elements=cells))
+    buf = io.StringIO()
+    _write_grid(buf, columns, codes, values)
+    assert buf.getvalue() == csv_writer_grid(columns, codes, values)

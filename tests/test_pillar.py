@@ -1,9 +1,11 @@
 import csv
 import math
 import re
+import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 from foi.classify import classify_epoch
 from foi.errors import AggregationError, EmptyColumnError
 from foi.manifest import IndicatorManifest, IndicatorSpec, default_manifest
-from foi.panel import load_panel, write_panel
+from foi.panel import IndicatorPanel, load_panel, write_panel
 from foi.pillar import FoiScores, compute_pillar_scores, rank_countries
 from foi.reference import load_fixture
 from foi.rescale import rescale_panel
@@ -182,20 +184,23 @@ def test_published_rank_extremes():
 
 
 def per_country_pillar_scores(rescaled, manifest, missing_policy):
-    """Reference aggregation: one Python mean per country and pillar."""
+    """Reference aggregation: per country, each component's observed
+    members added one after another in manifest order, then one numpy
+    mean per pillar over the observed components."""
     col_of = {ind: j for j, ind in enumerate(rescaled.indicators)}
     index = {}
     for pillar in "FOI":
         components = manifest.pillar_components(pillar)
         comp_vals = np.full((len(rescaled.countries), len(components)), np.nan)
-        for c, (_, members) in enumerate(components):
-            cols = [col_of[m] for m in members if m in col_of]
-            if not cols:
-                continue
-            block = rescaled.values[:, cols]
-            cnt = (~np.isnan(block)).sum(axis=1)
-            total = np.nansum(block, axis=1)
-            comp_vals[:, c] = np.where(cnt > 0, total / np.maximum(cnt, 1), np.nan)
+        for i in range(len(rescaled.countries)):
+            for c, (_, members) in enumerate(components):
+                vals = [rescaled.values[i, col_of[m]] for m in members if m in col_of]
+                vals = [v for v in vals if not math.isnan(v)]
+                total = 0.0
+                for v in vals:
+                    total += v
+                if vals:
+                    comp_vals[i, c] = total / len(vals)
         out = np.full(len(rescaled.countries), np.nan)
         observed = ~np.isnan(comp_vals)
         for i in range(len(rescaled.countries)):
@@ -227,10 +232,7 @@ def grouped_panels(draw):
     return manifest, make_panel(manifest, grid)
 
 
-@settings(max_examples=200)
-@given(grouped_panels(), st.sampled_from(["available_mean", "strict"]))
-def test_grouped_means_equal_per_country_loop_bitwise(case, policy):
-    manifest, panel = case
+def assert_equals_per_country_loop(panel, manifest, policy):
     try:
         want = per_country_pillar_scores(panel, manifest, policy)
     except AggregationError as exc:
@@ -240,6 +242,44 @@ def test_grouped_means_equal_per_country_loop_bitwise(case, policy):
     got = compute_pillar_scores(panel, manifest, missing_policy=policy).index
     for pillar in "FOI":
         assert got[pillar].tobytes() == want[pillar].tobytes()
+
+
+@settings(max_examples=200)
+@given(grouped_panels(), st.sampled_from(["available_mean", "strict"]))
+def test_grouped_means_equal_per_country_loop_bitwise(case, policy):
+    assert_equals_per_country_loop(*reversed(case), policy)
+
+
+@st.composite
+def sized_components(draw):
+    """Components of 1, 2, 7, 8, 9 and up to 20 members (numpy's own sum
+    adds fewer than 8 terms one after another, 8 or more pairwise), specs
+    and panel columns in any order, cells from [1, 7] and signed zeros
+    with some missing, and blocks of one country up to all of them."""
+    specs = [
+        IndicatorSpec(f"{pillar}{c}_{j}", "x", pillar, "higher_is_better", "t", f"{pillar}{c}")
+        for pillar in "FOI"
+        for c in range(draw(st.integers(1, 3)))
+        for j in range(draw(st.sampled_from([1, 2, 7, 8, 9, 16, 17, 20])))
+    ]
+    manifest = IndicatorManifest(tuple(draw(st.permutations(specs))))
+    columns = draw(st.permutations([s.id for s in specs]))
+    shape = (draw(st.integers(1, 30)), len(specs))
+    cells = st.one_of(st.floats(1.0, 7.0), st.sampled_from([0.0, -0.0]))
+    grid = draw(hnp.arrays(float, shape, elements=cells))
+    missing_frac = draw(st.sampled_from([0.0, 0.2, 0.9]))
+    grid[draw(hnp.arrays(float, shape, elements=st.floats(0.0, 1.0))) < missing_frac] = np.nan
+    countries = [f"C{i:02d}" for i in range(shape[0])]
+    panel = IndicatorPanel(epoch=2020, countries=countries, indicators=columns, values=grid)
+    return manifest, panel, draw(st.sampled_from([1, 50, 400, 1 << 18]))
+
+
+@settings(max_examples=200)
+@given(sized_components(), st.sampled_from(["available_mean", "strict"]))
+def test_components_of_any_size_equal_per_country_loop_bitwise(case, policy):
+    manifest, panel, block_cells = case
+    with mock.patch.object(sys.modules["foi.pillar"], "_BLOCK_CELLS", block_cells):
+        assert_equals_per_country_loop(panel, manifest, policy)
 
 
 DEMO_2020 = resources.files("foi.data") / "demo_panel_2020.csv"
@@ -309,3 +349,17 @@ def test_positive_affine_map_of_a_raw_column_keeps_indices_and_clusters(data):
     for k, code in enumerate(want.countries):
         if not near[k]:
             assert got_ids[code] == want_ids[code]
+
+
+def test_a_countrys_component_mean_does_not_depend_on_the_panel_size():
+    # the parent summed a component of 8+ members pairwise in a one-row
+    # panel and one after another in a longer one: 1.7277672953288628
+    # alone, 1.7277672953288632 beside a copy of itself
+    specs = [IndicatorSpec(f"f{j}", "x", "F", "higher_is_better", "t", "f") for j in range(8)]
+    specs += [IndicatorSpec(p, "x", p.upper(), "higher_is_better", "t") for p in "oi"]
+    manifest = IndicatorManifest(tuple(specs))
+    row = [1.7277672953288628] * 10
+    alone, twice = (
+        compute_pillar_scores(make_panel(manifest, [row] * n), manifest).index["F"].tolist() for n in (1, 2)
+    )
+    assert alone == twice[:1] == twice[1:] == [1.7277672953288632]
