@@ -125,7 +125,7 @@ def classify_epoch(
     Countries listed by ``unclassifiable`` are left out.
     """
     index = np.array([scores.index[p] for p in PILLARS], dtype=float)[:, scores.code_order]
-    keep = ~np.isnan(index).any(axis=0)
+    keep = ~_missing(scores)[scores.code_order]
     ids, border = _cluster_ids(index[:, keep], threshold, epsilon)
     countries = scores.countries
     return [
@@ -137,8 +137,12 @@ def classify_epoch(
 def unclassifiable(scores: FoiScores) -> list[str]:
     """Sorted codes of the countries with a missing (``nan``) pillar
     index, as the ``strict`` missing policy leaves them."""
-    missing = np.isnan([scores.index[p] for p in PILLARS]).any(axis=0)
-    return sorted(code for code, m in zip(scores.countries, missing) if m)
+    return sorted(code for code, m in zip(scores.countries, _missing(scores)) if m)
+
+
+def _missing(scores: FoiScores) -> np.ndarray:
+    """Mask of ``scores.countries`` with a missing (``nan``) pillar index."""
+    return np.isnan([scores.index[p] for p in PILLARS]).any(axis=0)
 
 
 def check_same_countries(a, b) -> None:

@@ -41,14 +41,6 @@ def _add_panel_flags(sp, panel_required=True):
     sp.add_argument("--panel", required=panel_required, help="panel CSV path")
     sp.add_argument("--manifest", help="manifest JSON path (default: built-in 24-indicator manifest)")
     sp.add_argument("--epoch", type=int, default=0, help="epoch year label")
-    _add_absent_flag(sp)
-
-
-def _add_absent_flag(sp):
-    sp.add_argument(
-        "--allow-absent-indicators", action="store_true",
-        help="read a panel that lacks some manifest indicators, with a warning, instead of failing",
-    )
 
 
 def _add_output_flags(sp):
@@ -87,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--manifest")
     sp.add_argument("--epoch-a", type=int, default=0)
     sp.add_argument("--epoch-b", type=int, default=0)
-    _add_absent_flag(sp)
     sp.add_argument("--missing-policy", choices=pillar.MISSING_POLICIES, default="available_mean")
     sp.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     sp.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
@@ -118,17 +109,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_inputs(args):
     manifest = load_manifest(args.manifest) if args.manifest else default_manifest()
-    panel = load_panel(args.panel, manifest, epoch=args.epoch, allow_absent=args.allow_absent_indicators)
+    panel = load_panel(args.panel, manifest, epoch=getattr(args, "epoch", 0))
     return manifest, panel
 
 
-def _scores_for(args, panel_path, manifest, epoch):
-    """Ranked indices of one panel file, and the panel's indicator ids."""
-    panel = load_panel(panel_path, manifest, epoch=epoch, allow_absent=args.allow_absent_indicators)
+def _scores_for(panel_path, manifest, epoch, missing_policy):
+    panel = load_panel(panel_path, manifest, epoch=epoch)
     rescaled = rescale_panel(panel, manifest)
     del panel  # frees the raw grid before the aggregation
-    scores = pillar.compute_pillar_scores(rescaled, manifest, missing_policy=args.missing_policy)
-    return pillar.rank_countries(scores), rescaled.indicators
+    scores = pillar.compute_pillar_scores(rescaled, manifest, missing_policy=missing_policy)
+    return pillar.rank_countries(scores)
 
 
 def _warn(command, message):
@@ -174,14 +164,14 @@ def cmd_rescale(args) -> int:
 
 def cmd_indices(args) -> int:
     manifest = load_manifest(args.manifest) if args.manifest else default_manifest()
-    scores, _ = _scores_for(args, args.panel, manifest, args.epoch)
+    scores = _scores_for(args.panel, manifest, args.epoch, args.missing_policy)
     report.write_text(report.render_scores(scores, args.format), args.out)
     return EXIT_OK
 
 
 def cmd_classify(args) -> int:
     manifest = load_manifest(args.manifest) if args.manifest else default_manifest()
-    scores, _ = _scores_for(args, args.panel, manifest, args.epoch)
+    scores = _scores_for(args.panel, manifest, args.epoch, args.missing_policy)
     assignments = classify_epoch(scores, threshold=args.threshold, epsilon=args.epsilon)
     _warn_left_out(args.command, unclassifiable(scores))
     report.write_text(report.render_assignments(assignments, args.format), args.out)
@@ -190,14 +180,10 @@ def cmd_classify(args) -> int:
 
 def cmd_shift(args) -> int:
     manifest = load_manifest(args.manifest) if args.manifest else default_manifest()
-    (scores_a, ind_a), (scores_b, ind_b) = (
-        _scores_for(args, path, manifest, epoch)
+    epochs = [
+        _scores_for(path, manifest, epoch, args.missing_policy)
         for path, epoch in ((args.panel_a, args.epoch_a), (args.panel_b, args.epoch_b))
-    )
-    if ind_a != ind_b:  # both in the manifest's order
-        only_a, only_b = sorted(set(ind_a) - set(ind_b)), sorted(set(ind_b) - set(ind_a))
-        raise SchemaError(f"indicator sets differ: only in first epoch {only_a}, only in second {only_b}")
-    epochs = (scores_a, scores_b)
+    ]
     # compare the panels' countries before leaving out the unclassifiable
     # ones, which could otherwise hide a country missing from one panel
     check_same_countries(epochs[0].countries, epochs[1].countries)

@@ -57,5 +57,4 @@ class FixtureIntegrityError(FoiError):
 
 class DataWarning(UserWarning):
     """A non-fatal data-quality fact: the result is computed, but it
-    rests on data the user should know about (a constant column, an
-    absent indicator)."""
+    rests on data the user should know about (a constant column)."""

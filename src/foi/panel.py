@@ -11,13 +11,12 @@ import csv
 import io
 import itertools
 import sys
-import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataWarning, DuplicateCountryError, PanelParseError, SchemaError
+from .errors import DuplicateCountryError, PanelParseError, SchemaError
 from .manifest import IndicatorManifest
 
 
@@ -221,24 +220,20 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def load_panel(
-    panel_csv, manifest: IndicatorManifest, epoch: int = 0, allow_absent: bool = False
-) -> IndicatorPanel:
+def load_panel(panel_csv, manifest: IndicatorManifest, epoch: int = 0) -> IndicatorPanel:
     """Read a ``country,<indicator ids...>`` CSV into a panel.
 
     Blank lines are skipped. An empty cell or the literal ``nan`` is a
     missing value. Column order in the result follows the manifest
-    regardless of the file's column order. With ``allow_absent``, a file
-    that lacks some manifest indicators is read, and a ``DataWarning``
-    names them: each pillar index then averages the components present.
+    regardless of the file's column order.
 
     Raises
     ------
     SchemaError
         If the file is empty, the first header column is not
         ``country``, a column repeats or is absent from the manifest, a
-        manifest indicator has no column (unless ``allow_absent``), or a
-        row has the wrong number of cells.
+        manifest indicator has no column, or a row has the wrong number
+        of cells.
     DuplicateCountryError
         If a country code appears twice.
     PanelParseError
@@ -254,10 +249,7 @@ def load_panel(
     present = set(columns)
     absent = [ind for ind in manifest.ids if ind not in present]
     if absent:
-        message = f"{panel_csv}: no column for manifest indicators {', '.join(absent)}"
-        if not allow_absent:
-            raise SchemaError(message)
-        warnings.warn(f"{message}; their pillars average the indicators present", DataWarning, stacklevel=2)
+        raise SchemaError(f"{panel_csv}: no column for manifest indicators {', '.join(absent)}")
     grid.setflags(write=False)  # the panel takes it without a copy
     return IndicatorPanel(epoch=epoch, countries=tuple(countries), indicators=tuple(columns), values=grid)
 

@@ -71,7 +71,7 @@ def compute_pillar_scores(
         components = manifest.pillar_components(pillar)
         if not components:
             raise AggregationError(f"manifest has no components for pillar {pillar!r}")
-        cols = [[col_of[m] for m in ids if m in col_of] for _, ids in components]
+        cols = [[col_of[m] for m in ids] for _, ids in components]
         width = max(map(len, cols))
         members[pillar] = np.array([c + [p] * (width - len(c)) for c in cols], dtype=np.intp).T
     index = {pillar: np.empty(n) for pillar in PILLARS}

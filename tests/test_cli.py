@@ -300,39 +300,23 @@ def test_factors_loads_scipy_special_but_not_scipy_stats():
     assert "'scipy.special'" in loaded and "'scipy.stats'" not in loaded
 
 
-def _demo_without(tmp_path, column, name="panel.csv"):
+def _demo_without(tmp_path, column):
     """demo_panel_2020.csv without one indicator column."""
     rows = [line.split(",") for line in open(PANEL_2020, encoding="utf-8").read().splitlines()]
     j = rows[0].index(column)
-    path = tmp_path / name
+    path = tmp_path / "panel.csv"
     path.write_text("".join(",".join(r[:j] + r[j + 1 :]) + "\n" for r in rows))
     return str(path)
 
 
-@pytest.mark.parametrize("verb", ["ingest", "rescale", "indices", "classify"])
+@pytest.mark.parametrize("verb", ["ingest", "rescale", "indices", "classify", "shift"])
 def test_panel_without_a_manifest_indicator_is_an_input_error(capsys, tmp_path, verb):
-    # the parent read it silently and moved AUS's F index from 4.0886 to 4.0389
-    code, out, err = run(capsys, verb, "--panel", _demo_without(tmp_path, "social_responsibility"))
+    # read silently, this panel would move AUS's F index from 4.0886 to 4.0389
+    path = _demo_without(tmp_path, "social_responsibility")
+    argv = ["--panel-a", PANEL_2010, "--panel-b", path] if verb == "shift" else ["--panel", path]
+    code, out, err = run(capsys, verb, *argv)
     assert code == 1 and not out
     assert "no column for manifest indicators social_responsibility" in err
-
-
-def test_absent_indicators_are_read_with_a_warning_when_allowed(capsys, tmp_path):
-    path = _demo_without(tmp_path, "social_responsibility")
-    code, out, err = run(capsys, "indices", "--panel", path, "--allow-absent-indicators", "--format", "json")
-    assert code == 0
-    assert err.startswith("foi indices: warning: ") and err.count("\n") == 1
-    assert "social_responsibility" in err
-    aus = next(r for r in json.loads(out)["scores"] if r["country"] == "AUS")
-    assert round(aus["f_index"], 4) == 4.0389
-
-
-def test_shift_requires_the_same_indicators_in_both_epochs(capsys, tmp_path):
-    path = _demo_without(tmp_path, "social_responsibility")
-    argv = ["shift", "--panel-a", PANEL_2010, "--panel-b", path, "--allow-absent-indicators"]
-    code, out, err = run(capsys, *argv)
-    assert code == 1 and not out
-    assert "indicator sets differ: only in first epoch ['social_responsibility'], only in second []" in err
 
 
 def test_constant_columns_are_named_in_one_warning(capsys, tmp_path):

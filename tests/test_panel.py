@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from foi.errors import DataWarning, DuplicateCountryError, PanelParseError, SchemaError
+from foi.errors import DuplicateCountryError, PanelParseError, SchemaError
 from foi.manifest import default_manifest, manifest_from_records
 from foi.panel import (
     _read_grid,
@@ -64,13 +64,10 @@ def test_bad_cell_reports_coordinates(tmp_path):
     assert exc.value.column == "a"
 
 
-def test_absent_manifest_indicator_is_schema_error_unless_allowed(tmp_path):
+def test_absent_manifest_indicator_is_schema_error(tmp_path):
     path = write(tmp_path, "country,b\nAAA,2\n")
     with pytest.raises(SchemaError, match="no column for manifest indicators a$"):
         load_panel(path, TWO_COL)
-    with pytest.warns(DataWarning, match="no column for manifest indicators a;"):
-        panel = load_panel(path, TWO_COL, allow_absent=True)
-    assert panel.indicators == ("b",)
 
 
 def test_columns_reordered_to_manifest(tmp_path):
