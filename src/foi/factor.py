@@ -25,6 +25,10 @@ VARIMAX_MAX_SWEEPS = 1000
 # digits; every other r is then within about 1e-13 of the two-pass value
 _CANCELLATION = 64.0
 _SMALLEST_SUMSQ = np.finfo(float).tiny * 2.0**60
+# Chernoff: P(chi2_df >= x) <= exp(-(df/2)(t - 1 - ln t)) for t = x/df > 1.
+# A bound under e^-800 is far below half the smallest subnormal (about
+# e^-745.1), so the tail rounds to 0.0 and scipy need not be imported
+_TAIL_UNDERFLOW_LOG = -800.0
 
 
 @dataclass(frozen=True)
@@ -192,6 +196,8 @@ def bartlett_test(r: CorrelationMatrix, n: int) -> BartlettResult:
     freedom.
     """
     p = r.p
+    if p < 2:
+        raise DomainError(f"Bartlett's test needs at least two variables, got {p}")
     if n <= p:
         raise DomainError(f"need n > p, got n={n}, p={p}")
     # a Cholesky factor exists only for a positive definite R; the sign of
@@ -207,11 +213,19 @@ def bartlett_test(r: CorrelationMatrix, n: int) -> BartlettResult:
     df = p * (p - 1) // 2
     stat = -(n - 1 - (2 * p + 5) / 6.0) * logdet
     stat = max(stat, 0.0)
+    return BartlettResult(chi_square=float(stat), df=df, p_value=_chi2_upper_tail(df, stat))
+
+
+def _chi2_upper_tail(df: int, stat: float) -> float:
+    """P(chi-square with ``df`` degrees of freedom >= ``stat``), as ``chdtrc``."""
+    t = stat / df
+    if t > 1.0 and -0.5 * df * (t - 1.0 - math.log(t)) < _TAIL_UNDERFLOW_LOG:
+        return 0.0
     # imported here so that only `factors` loads scipy; scipy.stats.chi2.sf
     # gives the same bits but takes about a second longer to import
     from scipy.special import chdtrc
 
-    return BartlettResult(chi_square=float(stat), df=df, p_value=float(chdtrc(df, stat)))
+    return float(chdtrc(df, stat))
 
 
 def anti_image_correlations(r: CorrelationMatrix) -> np.ndarray:

@@ -206,7 +206,7 @@ def test_csv_format_rejected_where_there_is_no_csv_form(capsys, argv):
 
 
 def test_infinite_cell_is_input_error(capsys, tmp_path):
-    lines = open(PANEL_2020, encoding="utf-8").read().splitlines()
+    lines = Path(PANEL_2020).read_text(encoding="utf-8").splitlines()
     cells = lines[3].split(",")
     cells[5] = "inf"
     lines[3] = ",".join(cells)
@@ -268,6 +268,14 @@ def test_factors_warns_when_varimax_does_not_converge(capsys, monkeypatch):
     assert err.count("\n") == 1 and "varimax rotation did not converge" in err
 
 
+def test_factors_on_one_variable_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "one.csv"
+    path.write_text("country,v0\n" + "".join(f"C{i},{i * i}\n" for i in range(10)))
+    code, out, err = run(capsys, "factors", "--panel", str(path))
+    assert code == 1 and not out
+    assert "needs at least two variables" in err
+
+
 SRC = str(Path(foi.__file__).resolve().parents[1])
 
 
@@ -300,9 +308,21 @@ def test_factors_loads_scipy_special_but_not_scipy_stats():
     assert "'scipy.special'" in loaded and "'scipy.stats'" not in loaded
 
 
+@pytest.mark.parametrize("missing", ["pairwise", "listwise"])
+def test_factors_loads_no_scipy_when_the_p_value_underflows(tmp_path, missing):
+    # chi2 = 14 921 on 435 df: the tail bound is e^-6474, so p is 0.0
+    data, _ = factor.synthesize_known_factors(p=30, k=3, n=300, seed=0)
+    path = tmp_path / "wide.csv"
+    rows = (",".join([code, *map(repr, row)]) for code, row in zip(data.rows, data.values.tolist()))
+    path.write_text("\n".join([",".join(["country", *data.variables]), *rows]) + "\n")
+    argv = ["factors", "--panel", str(path), "--factors-k", "3", "--missing", missing]
+    code = f"import foi.cli\nassert foi.cli.main({argv!r}) == 0"
+    assert _scipy_modules_after(code) == "[]"
+
+
 def _demo_without(tmp_path, column):
     """demo_panel_2020.csv without one indicator column."""
-    rows = [line.split(",") for line in open(PANEL_2020, encoding="utf-8").read().splitlines()]
+    rows = [line.split(",") for line in Path(PANEL_2020).read_text(encoding="utf-8").splitlines()]
     j = rows[0].index(column)
     path = tmp_path / "panel.csv"
     path.write_text("".join(",".join(r[:j] + r[j + 1 :]) + "\n" for r in rows))
@@ -320,7 +340,7 @@ def test_panel_without_a_manifest_indicator_is_an_input_error(capsys, tmp_path, 
 
 
 def test_constant_columns_are_named_in_one_warning(capsys, tmp_path):
-    rows = [line.split(",") for line in open(PANEL_2020, encoding="utf-8").read().splitlines()]
+    rows = [line.split(",") for line in Path(PANEL_2020).read_text(encoding="utf-8").splitlines()]
     names = [rows[0][1], rows[0][7]]
     for r in rows[1:]:
         r[1] = r[7] = "5"

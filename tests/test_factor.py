@@ -16,8 +16,10 @@ from foi.errors import (
     UndefinedStatisticError,
 )
 from foi.factor import (
+    _TAIL_UNDERFLOW_LOG,
     CorrelationMatrix,
     VariableMatrix,
+    _chi2_upper_tail,
     _orient_signs,
     bartlett_test,
     congruence,
@@ -356,6 +358,48 @@ def test_p_value_bitwise_equals_chi2_sf_on_grid():
                 seen_df.add(res.df)
                 seen_zero |= res.chi_square == 0.0
     assert 44_850 in seen_df and seen_zero
+
+
+def test_one_variable_is_a_domain_error():
+    # chdtrc(0, 0.0) is nan, which would be returned as the p-value
+    with pytest.raises(DomainError, match="at least two variables"):
+        bartlett_test(corr_from([[1.0]]), n=30)
+
+
+def _stat_at_bound(df, log_bound):
+    """The x > df at which the Chernoff bound exp(-(df/2)(t - 1 - ln t)),
+    t = x/df, equals exp(log_bound): Newton's method on the convex
+    t - 1 - ln t - c, started to the right of its root."""
+    c = -2.0 * log_bound / df
+    t = 2.0 + 2.0 * c
+    for _ in range(100):
+        t -= (t - 1.0 - math.log(t) - c) / (1.0 - 1.0 / t)
+    return df * t
+
+
+@settings(max_examples=500)
+@given(
+    st.integers(1, 10**8),
+    st.floats(-900.0, -700.0) | st.floats(-1e6, -1.0),
+    st.floats(0.0, 1.0),
+    st.booleans(),
+)
+def test_chi2_upper_tail_bitwise_equals_chdtrc(df, log_bound, below, under_df):
+    from scipy.special import chdtrc
+
+    stat = df * below if under_df else _stat_at_bound(df, log_bound)
+    want = np.float64(chdtrc(df, stat))
+    got = _chi2_upper_tail(df, stat)
+    assert type(got) is float and np.float64(got).tobytes() == want.tobytes(), (df, stat)
+
+
+@pytest.mark.parametrize("df", [1, 66, 44_850, 10**8])
+def test_chi2_upper_tail_calls_chdtrc_only_above_the_bound(df, monkeypatch):
+    import scipy.special
+
+    monkeypatch.setattr(scipy.special, "chdtrc", lambda df, stat: 0.5)
+    assert _chi2_upper_tail(df, _stat_at_bound(df, _TAIL_UNDERFLOW_LOG - 1.0)) == 0.0
+    assert _chi2_upper_tail(df, _stat_at_bound(df, _TAIL_UNDERFLOW_LOG + 1.0)) == 0.5
 
 
 def test_pairwise_r_not_psd_names_smallest_eigenvalue_and_listwise():
@@ -730,6 +774,72 @@ def test_fit_loadings_equal_direct_extraction_for_every_k():
     for k in range(1, r.p + 1):
         model = fit_factor_model(data, k=k)
         assert model.loadings.tobytes() == np.ascontiguousarray(pca_extract(r, k)[0]).tobytes()
+
+
+def _permuted_fit_differences(data, k, missing, rows, cols):
+    """Fit ``data`` and its row- and column-permuted copy; the largest
+    difference once the permuted outputs are moved back (0.0 when both
+    fits raise the same error)."""
+    rows, cols = list(rows), list(cols)
+    moved = VariableMatrix(
+        rows=[data.rows[i] for i in rows],
+        variables=[data.variables[j] for j in cols],
+        values=data.values[np.ix_(rows, cols)],
+    )
+    try:
+        want = fit_factor_model(data, k=k, missing=missing)
+    except (DomainError, SingularMatrixError, UndefinedStatisticError) as exc:
+        with pytest.raises(type(exc)):
+            fit_factor_model(moved, k=k, missing=missing)
+        return 0.0
+    got = fit_factor_model(moved, k=k, missing=missing)
+    assert got.variables == moved.variables and got.score_rows == moved.rows
+    assert got.bartlett.df == want.bartlett.df
+    assert np.array_equal(np.isnan(got.scores), np.isnan(want.scores[rows]))
+    complete = ~np.isnan(got.scores)
+    return max(
+        abs(got.bartlett.chi_square - want.bartlett.chi_square),
+        abs(got.bartlett.p_value - want.bartlett.p_value),
+        np.abs(got.eigenvalues - want.eigenvalues).max(),
+        np.abs(got.rotated_loadings - want.rotated_loadings[cols]).max(),
+        np.abs(got.scores[complete] - want.scores[rows][complete]).max(),
+    )
+
+
+@st.composite
+def permuted_factor_data(draw):
+    """A ``synthesize_known_factors`` matrix, perhaps with missing cells,
+    and a row and a column permutation of it. With p = 2 both eigenvectors
+    of R have entries of equal magnitude, so the sign rule falls to the
+    first row and a column swap may flip and swap factors: p >= 3."""
+    p = draw(st.integers(3, 10))
+    k = draw(st.integers(1, min(p, 3)))
+    n = draw(st.integers(p + 10, 80))
+    seed = draw(st.integers(0, 2**16))
+    data, _ = synthesize_known_factors(p=p, k=k, n=n, seed=seed)
+    holes = draw(st.sampled_from([0.0, 0.01, 0.05]))
+    grid = np.array(data.values)
+    grid[np.random.default_rng(seed).random(grid.shape) < holes] = np.nan
+    data = VariableMatrix(rows=data.rows, variables=data.variables, values=grid)
+    return data, k, draw(st.permutations(range(n))), draw(st.permutations(range(p)))
+
+
+@settings(max_examples=150)
+@given(permuted_factor_data(), st.sampled_from(["pairwise", "listwise"]))
+def test_fit_permutes_with_rows_and_columns(case, missing):
+    # permuting rows permutes the score rows, permuting columns the rows of
+    # the rotated loadings; the spectrum and Bartlett's test stay put
+    data, k, rows, cols = case
+    assert _permuted_fit_differences(data, k, missing, rows, cols) <= 1e-9
+
+
+@pytest.mark.parametrize("missing", ["pairwise", "listwise"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_fit_permutes_with_rows_and_columns_on_demo_panel(k, missing):
+    data = load_variable_matrix(FA_PANEL)
+    rng = np.random.default_rng(k)
+    rows, cols = rng.permutation(len(data.rows)), rng.permutation(len(data.variables))
+    assert _permuted_fit_differences(data, k, missing, rows, cols) <= 1e-9
 
 
 @pytest.mark.parametrize("k", (0, 7))
