@@ -285,8 +285,11 @@ def _result_rows(path, payload) -> tuple[str, list[dict]]:
 
 
 def cmd_export(args) -> int:
-    with open(args.infile, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    try:
+        with open(args.infile, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{args.infile}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     section, rows = _result_rows(args.infile, payload)
     if section == "scores":
         # a null index is nan; the ranks are kept only when no rank is null

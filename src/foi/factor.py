@@ -270,7 +270,13 @@ def kmo_statistic(r: CorrelationMatrix, per_variable: bool = False):
 
 
 def _orient_signs(loadings: np.ndarray) -> np.ndarray:
-    """Flip columns so each one's maximum-magnitude entry is positive."""
+    """Flip columns so each one's maximum-magnitude entry is positive.
+
+    An exact tie in magnitude goes to the first of the tied rows, so the
+    signs, and through them the order of the rotated factors, then follow
+    column position. With two variables both eigenvectors of R tie: the
+    first rotated factor is always the one the first column loads on, and
+    swapping the two columns swaps the two rotated factors."""
     flips = np.ones(loadings.shape[1])
     for j in range(loadings.shape[1]):
         col = loadings[:, j]

@@ -125,8 +125,11 @@ def manifest_from_records(records) -> IndicatorManifest:
 
 def load_manifest(path) -> IndicatorManifest:
     """Load a manifest from a JSON array of spec objects."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     if not isinstance(payload, list):
         raise SchemaError("manifest JSON must be an array of spec objects")
     return manifest_from_records(payload)

@@ -350,3 +350,39 @@ def test_constant_columns_are_named_in_one_warning(capsys, tmp_path):
         code, out, err = run(capsys, verb, "--panel", str(path))
         assert code == 0 and out
         assert err == f"foi {verb}: warning: constant columns mapped to 4.0: {', '.join(names)}\n"
+
+
+def _latin1_in(path, tmp_path, name, after):
+    """A copy of ``path`` with the Latin-1 byte 0xe9 put just after the
+    first ``after``."""
+    data = Path(path).read_bytes()
+    out = tmp_path / name
+    out.write_bytes(data.replace(after, after + b"\xe9", 1))
+    return str(out)
+
+
+@pytest.mark.parametrize("verb, panel", [("classify", PANEL_2020), ("factors", FA_PANEL)])
+def test_panel_that_is_not_utf8_is_an_input_error(capsys, tmp_path, verb, panel):
+    # the byte sits in the code of data row 3
+    data = Path(panel).read_bytes().split(b"\n")
+    path = _latin1_in(panel, tmp_path, "latin1.csv", b"\n" + data[3].split(b",")[0])
+    code, out, err = run(capsys, verb, "--panel", path)
+    assert code == 1 and not out
+    assert err == f"foi {verb}: {path}: row 3: byte 0xe9 is not UTF-8 text\n"
+
+
+def test_manifest_that_is_not_utf8_is_an_input_error(capsys, tmp_path):
+    manifest = str(DATA / "manifest_default.json")
+    path = _latin1_in(manifest, tmp_path, "manifest.json", b'"name": "')
+    code, out, err = run(capsys, "classify", "--panel", PANEL_2020, "--manifest", path)
+    assert code == 1 and not out
+    assert err.startswith(f"foi classify: {path}: not UTF-8 text") and err.count("\n") == 1
+
+
+def test_export_document_that_is_not_utf8_is_an_input_error(capsys, tmp_path):
+    doc = tmp_path / "scores.json"
+    assert run(capsys, "classify", "--panel", PANEL_2020, "--format", "json", "--out", str(doc))[0] == 0
+    path = _latin1_in(doc, tmp_path, "latin1.json", b'"country": "')
+    code, out, err = run(capsys, "export", "--in", path)
+    assert code == 1 and not out
+    assert err.startswith(f"foi export: {path}: not UTF-8 text") and err.count("\n") == 1

@@ -842,6 +842,18 @@ def test_fit_permutes_with_rows_and_columns_on_demo_panel(k, missing):
     assert _permuted_fit_differences(data, k, missing, rows, cols) <= 1e-9
 
 
+def test_two_variable_factors_follow_column_position():
+    # both eigenvectors of a 2x2 R have entries of equal magnitude, so the
+    # sign rule falls to the first row: the first rotated factor is the
+    # one the first column loads on, and a column swap swaps the factors
+    data, _ = synthesize_known_factors(p=2, k=2, n=12, seed=0)
+    swapped = VariableMatrix(rows=data.rows, variables=data.variables[::-1], values=data.values[:, ::-1])
+    want, got = fit_factor_model(data, k=2), fit_factor_model(swapped, k=2)
+    assert np.allclose(want.rotated_loadings, [[0.995, 0.098], [0.098, 0.995]], atol=5e-4)
+    assert np.allclose(got.rotated_loadings[::-1], want.rotated_loadings[:, ::-1], rtol=0, atol=1e-12)
+    assert np.allclose(got.scores, want.scores[:, ::-1], rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("k", (0, 7))
 def test_fit_rejects_k_out_of_range(k):
     data, _ = synthesize_known_factors(p=6, k=2, n=120, seed=11)

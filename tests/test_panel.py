@@ -1,13 +1,22 @@
 import csv
+import hashlib
 import io
+import json
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import foi
+from foi import panel
 from foi.errors import DuplicateCountryError, PanelParseError, SchemaError
 from foi.manifest import default_manifest, manifest_from_records
 from foi.panel import (
@@ -21,6 +30,8 @@ from foi.panel import (
 )
 
 from conftest import make_manifest, make_panel
+
+SRC = str(Path(foi.__file__).resolve().parents[1])
 
 TWO_COL = manifest_from_records(
     [
@@ -223,6 +234,30 @@ def test_load_panel_peak_memory_stays_near_one_grid(tmp_path):
     assert peak / panel.values.nbytes <= 1.5
 
 
+def test_load_panel_peak_memory_stays_near_one_grid_when_split(tmp_path, monkeypatch):
+    # forked children parse the spans; the parent holds only the one grid
+    # their rows are read into
+    import tracemalloc
+
+    manifest = make_manifest(pillar_counts=(100, 100, 100))
+    columns = list(reversed(manifest.ids))  # not manifest order
+    rng = np.random.default_rng(0)
+    grid = rng.integers(100_000, 999_999, size=(2000, len(columns))) / 1000
+    lines = ["country," + ",".join(columns)]
+    lines += [f"C{i:04d}," + ",".join(map(repr, row)) for i, row in enumerate(grid.tolist())]
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    cuts = _force_split(monkeypatch, 2)
+    tracemalloc.start()
+    try:
+        loaded = load_panel(path, manifest)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(bounds) for bounds in cuts] == [3]
+    assert loaded.values.tolist() == grid[:, ::-1].tolist()
+    assert peak / loaded.values.nbytes <= 1.5
+
+
 # ------------------------------------------- streamed parse against the loop
 
 
@@ -256,8 +291,9 @@ _NUMBERS = st.one_of(
 )
 _ODD_CELLS = st.sampled_from([
     " ", "\t", "inf", "-Infinity", "1e400", "-1e400", "abc", "1_000", "\u0661", '"1.5"', '""', '" "',
+    "9\udce9",
 ])
-_ODD_CODES = st.sampled_from(["AAA", "BBB", " AAA ", '"BBB"', '"C,C"', "", "  "])
+_ODD_CODES = st.sampled_from(["AAA", "BBB", " AAA ", '"BBB"', '"C,C"', "", "  ", "caf\udce9"])
 
 
 @st.composite
@@ -266,7 +302,8 @@ def grid_files(draw):
     ends, and up to two kinds of odd input: repeated headers, lines of
     whitespace or commas, short and long rows, rows with one
     whitespace-only, infinite, unparsable or quoted cell, and repeated,
-    quoted or empty codes."""
+    quoted or empty codes. A lone surrogate ``\\udce9`` stands for the
+    byte 0xe9, which is not UTF-8 (see ``_file_bytes``)."""
     odd = draw(st.sets(st.sampled_from(
         ["repeated header", "spaces", "commas", "short", "long", "odd cell", "odd code"]
     ), max_size=2))
@@ -297,6 +334,11 @@ def grid_files(draw):
     return end.join(lines) + draw(st.sampled_from(["", end]))
 
 
+def _file_bytes(text):
+    """``text`` as UTF-8, each lone surrogate ``\\udcXX`` as the byte 0xXX."""
+    return text.encode("utf-8", "surrogateescape")
+
+
 def _outcome(read, path, *args):
     try:
         columns, codes, grid = read(path, *args)
@@ -305,11 +347,9 @@ def _outcome(read, path, *args):
     return columns, codes, grid.shape, grid.tobytes()
 
 
-@settings(max_examples=400)
-@given(grid_files(), st.randoms(use_true_random=False))
-def test_streamed_reader_equals_record_loop(tmp_path_factory, text, rnd):
-    path = tmp_path_factory.mktemp("grid") / "grid.csv"
-    path.write_bytes(text.encode())
+def _equals_record_loop(path, rnd):
+    """``_read_grid`` on ``path`` gives the record loop's outcome, in the
+    file's and in a shuffled column order."""
     want = _outcome(_read_records, path)
     assert _outcome(_read_grid, path) == want
     if len(want) == 4:  # read in a shuffled column order too
@@ -320,6 +360,111 @@ def test_streamed_reader_equals_record_loop(tmp_path_factory, text, rnd):
         assert _outcome(_read_grid, path, order) == (
             [columns[j] for j in cols], want[1], grid.shape, grid.tobytes()
         )
+
+
+@settings(max_examples=400)
+@given(grid_files(), st.randoms(use_true_random=False))
+def test_streamed_reader_equals_record_loop(tmp_path_factory, text, rnd):
+    path = tmp_path_factory.mktemp("grid") / "grid.csv"
+    path.write_bytes(_file_bytes(text))
+    _equals_record_loop(path, rnd)
+
+
+def _force_split(monkeypatch, cpus):
+    """Cut every file with at least ``cpus`` bytes of data lines into
+    ``cpus`` spans, whatever the machine; return the list each cut's
+    bounds are appended to."""
+    cuts = []
+    span_bounds = panel._span_bounds
+    monkeypatch.setattr(panel, "_SPAN_MIN_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(panel, "_span_bounds", lambda fh: cuts.append(span_bounds(fh)) or cuts[-1])
+    return cuts
+
+
+@settings(max_examples=200)
+@given(grid_files(), st.integers(2, 4), st.randoms(use_true_random=False))
+@example("country,a\n\n\n\nAAA,1\n\n\n", 4, random.Random(0))  # spans of blank lines only
+@example("country,a,b\nAAA,1,2\n\n", 3, random.Random(0))  # spans with no line at all
+def test_split_reader_equals_record_loop(tmp_path_factory, text, cpus, rnd):
+    # small files cut into two to four spans, so that spans hold a line
+    # or two, only blank lines, or nothing
+    data = _file_bytes(text)
+    assume(len(data) - len(data.split(b"\n")[0]) > cpus)
+    path = tmp_path_factory.mktemp("grid") / "grid.csv"
+    path.write_bytes(data)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        cuts = _force_split(monkeypatch, cpus)
+        _equals_record_loop(path, rnd)
+    for bounds in cuts:  # each cut made, on line boundaries
+        assert len(bounds) == cpus + 1 and bounds[-1] == len(data)
+        assert all(data[b - 1 : b] == b"\n" or b == len(data) for b in bounds[1:-1])
+
+
+# Run in a fresh interpreter (under a timeout, for a deadlock): read a
+# file cut into three spans, then print the outcome, the span counts, and
+# whether a child process or a descriptor outlived the read.
+_SPLIT_READ = """
+import hashlib, json, os, sys
+from foi import panel
+path, case = sys.argv[1:]
+fds = sorted(os.listdir("/proc/self/fd"))
+panel._SPAN_MIN_BYTES = 1
+os.sched_getaffinity = lambda pid: {0, 1, 2}
+spans, read_spans = [], panel._read_spans
+panel._read_spans = lambda path, bounds, *args: spans.append(len(bounds) - 1) or read_spans(path, bounds, *args)
+span_child = panel._span_child
+if case == "a child fails before it writes":
+    panel._span_child = lambda *args: os._exit(3)
+elif case == "a child fails after it writes":
+    panel._span_child = lambda *args: span_child(*args) or os._exit(3)
+try:
+    columns, codes, grid = panel._read_grid(path)
+    outcome = [columns, codes, list(grid.shape), hashlib.sha256(grid.tobytes()).hexdigest()]
+except Exception as exc:
+    outcome = [type(exc).__name__, str(exc)]
+try:
+    os.waitpid(-1, os.WNOHANG)
+    children = "left"
+except ChildProcessError:
+    children = "none"
+print(json.dumps([outcome, spans, children, sorted(os.listdir("/proc/self/fd")) == fds]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="only Linux splits a file")
+@pytest.mark.parametrize("case", [
+    "plain", "quote in the first span", "inf in the last span", "code repeated across spans",
+    "a child fails before it writes", "a child fails after it writes",
+])
+def test_split_read_of_a_large_file_ends_as_the_record_loop(tmp_path, case):
+    # each span holds far more than a pipe buffer, so a child blocks on
+    # its pipe until the parent reads or closes it
+    columns = [f"v{j}" for j in range(300)]
+    grid = np.random.default_rng(1).integers(100_000, 999_999, size=(1500, 300)) / 1000
+    lines = [",".join(["country", *columns])]
+    lines += [",".join([f"C{i:04d}", *map(repr, row)]) for i, row in enumerate(grid.tolist())]
+    if case == "quote in the first span":
+        lines[3] = lines[3].replace("C0002", '"C0002"')
+    elif case == "inf in the last span":
+        code, _, rest = lines[-2].split(",", 2)
+        lines[-2] = ",".join([code, "inf", rest])
+    elif case == "code repeated across spans":
+        lines[-1] = lines[-1].replace("C1499", "C0001")
+    path = tmp_path / "large.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert path.stat().st_size >= 1 << 20
+    want = _outcome(_read_records, path)
+    if len(want) == 4:
+        want = [want[0], want[1], list(want[2]), hashlib.sha256(want[3]).hexdigest()]
+    else:
+        want = [want[0].__name__, want[1]]
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", _SPLIT_READ, str(path), case],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr
+    assert json.loads(proc.stdout) == [want, [3], "none", True]
 
 
 def csv_writer_grid(columns, codes, values):
