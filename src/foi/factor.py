@@ -137,8 +137,10 @@ def correlation_matrix(data: VariableMatrix, missing: str = "pairwise") -> Corre
     mask = observed.astype(float)
     counts = np.rint(mask.T @ mask).astype(int)
     n_obs = np.diag(counts)
-    e = _magnitude_exponents(grid)
     x = np.where(observed, grid, 0.0)
+    # scaled by the kept cells only: a row that listwise deletion drops
+    # must not set the scale, or the kept cells may square to 0
+    e = _magnitude_exponents(x)
     np.ldexp(x, -e, out=x)
     mean = np.divide(x.sum(axis=0), n_obs, out=np.zeros(p), where=n_obs > 0)
     np.subtract(x, mean, out=x, where=observed)

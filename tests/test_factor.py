@@ -112,6 +112,15 @@ def test_listwise_drops_incomplete_rows():
     assert r.pair_counts[0, 0] == 3
 
 
+def test_listwise_scale_ignores_dropped_rows():
+    # v1 varies only at 1e-230 on the kept rows; the dropped last row
+    # holds its 1.0, which must not set the column's scale
+    grid = np.array([[0.0, 0.0], [1.0, 1e-230], [2.0, 0.0], [np.nan, 1.0]])
+    r = correlation_matrix(vm(grid), missing="listwise")
+    assert r.values[0, 1] == pytest.approx(0.0, abs=1e-12)
+    assert_matches_loop(vm(grid), "listwise")
+
+
 def correlation_loop(data, missing="pairwise"):
     """The pair-by-pair Pearson loop ``correlation_matrix`` replaced: the
     oracle for its values, pair counts and first error. Each column is
