@@ -405,7 +405,7 @@ def test_split_reader_equals_record_loop(tmp_path_factory, text, cpus, rnd):
 # file cut into three spans, then print the outcome, the span counts, and
 # whether a child process or a descriptor outlived the read.
 _SPLIT_READ = """
-import hashlib, json, os, sys
+import hashlib, json, os, signal, sys
 from foi import panel
 path, case = sys.argv[1:]
 fds = sorted(os.listdir("/proc/self/fd"))
@@ -418,6 +418,8 @@ if case == "a child fails before it writes":
     panel._span_child = lambda *args: os._exit(3)
 elif case == "a child fails after it writes":
     panel._span_child = lambda *args: span_child(*args) or os._exit(3)
+elif case == "SIGCHLD ignored":  # the system reaps each child
+    signal.signal(signal.SIGCHLD, signal.SIG_IGN)
 try:
     columns, codes, grid = panel._read_grid(path)
     outcome = [columns, codes, list(grid.shape), hashlib.sha256(grid.tobytes()).hexdigest()]
@@ -435,7 +437,7 @@ print(json.dumps([outcome, spans, children, sorted(os.listdir("/proc/self/fd")) 
 @pytest.mark.skipif(sys.platform != "linux", reason="only Linux splits a file")
 @pytest.mark.parametrize("case", [
     "plain", "quote in the first span", "inf in the last span", "code repeated across spans",
-    "a child fails before it writes", "a child fails after it writes",
+    "a child fails before it writes", "a child fails after it writes", "SIGCHLD ignored",
 ])
 def test_split_read_of_a_large_file_ends_as_the_record_loop(tmp_path, case):
     # each span holds far more than a pipe buffer, so a child blocks on
@@ -491,3 +493,143 @@ def test_grid_writer_equals_csv_writer(data):
     buf = io.StringIO()
     _write_grid(buf, columns, codes, values)
     assert buf.getvalue() == csv_writer_grid(columns, codes, values)
+
+
+@st.composite
+def writer_grids(draw):
+    """Column ids, codes and a float grid for ``_write_grid``: ids and codes
+    with commas, quotes, CR/LF, spaces, unicode, or empty; nan, infinite,
+    signed-zero, subnormal and huge cells."""
+    text = st.text(st.sampled_from('AZaz09 ,"\r\n\t;é\u2028\U0001f600'), max_size=5)
+    p = draw(st.integers(0, 4))
+    columns = draw(st.lists(text, min_size=p, max_size=p))
+    codes = draw(st.lists(text, max_size=6))
+    cells = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]))
+    return columns, codes, draw(hnp.arrays(float, (len(codes), p), elements=cells))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="only Linux splits a grid")
+@settings(max_examples=200)
+@given(writer_grids(), st.integers(2, 4))
+@example((["a", "b", "c", "d"], ['"x"'], np.array([[math.nan, -0.0, 5e-324, -math.inf]])), 3)  # blocks of no rows
+@example(([], ["", "A"], np.empty((2, 0))), 2)  # no cells: no split
+def test_split_grid_writer_equals_csv_writer(grid, cpus):
+    # every grid of at least two cells cut into two to four row blocks,
+    # some of no rows when there are fewer rows than CPUs
+    columns, codes, values = grid
+    forks, fork = [], panel._fork
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(panel, "_WRITE_MIN_CELLS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(panel, "_fork", lambda work, pipes: forks.append(1) or fork(work, pipes))
+        buf = io.StringIO()
+        _write_grid(buf, columns, codes, values)
+    assert buf.getvalue() == csv_writer_grid(columns, codes, values)
+    blocks = min(cpus, values.size)
+    assert len(forks) == (blocks - 1 if blocks > 1 else 0)
+
+
+# Run in a fresh interpreter (under a timeout, for a deadlock): `foi
+# rescale` in process with three usable CPUs, so a grid above the split
+# size is written in three blocks (or, for "unsplit", in one); then write
+# to the file REPORT the number of forks, whether a child process
+# outlived the write, and whether a descriptor did, and exit as `foi`.
+_SPLIT_WRITE = """
+import json, os, signal, sys
+from foi import panel
+from foi.cli import main
+case, report, *argv = sys.argv[1:]
+fds = sorted(os.listdir("/proc/self/fd"))
+os.sched_getaffinity = lambda pid: {0, 1, 2}
+forks, fork, block_child = [], panel._fork, panel._block_child
+panel._fork = lambda work, pipes: forks.append(1) or fork(work, pipes)
+if case == "unsplit":
+    panel._WRITE_MIN_CELLS = 1 << 62
+elif case == "a child fails before it writes":
+    panel._block_child = lambda *args: os._exit(3)
+elif case == "a child fails after part of its block":
+    panel._block_child = lambda codes, values, w: block_child(codes[:9], values[:9], w) or os._exit(3)
+elif case == "SIGCHLD ignored":  # the system reaps each child
+    signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+status = main(argv)
+try:
+    os.waitpid(-1, os.WNOHANG)
+    children = "left"
+except ChildProcessError:
+    children = "none"
+same_fds = sorted(os.listdir("/proc/self/fd")) == fds
+with open(report, "w") as fh:
+    json.dump([len(forks), children, same_fds], fh)
+sys.exit(status)
+"""
+
+
+def _split_write_panel(tmp_path):
+    """A panel under the built-in manifest with enough rows to be written
+    in three blocks, each far larger than a pipe buffer."""
+    ids = default_manifest().ids
+    rows = 3 * panel._WRITE_MIN_CELLS // len(ids) + 100
+    grid = np.random.default_rng(2).integers(100_000, 999_999, size=(rows, len(ids))) / 1000
+    lines = [",".join(["country", *ids])]
+    lines += [",".join([f"C{i:05d}", *map(repr, row)]) for i, row in enumerate(grid.tolist())]
+    return write(tmp_path, "\n".join(lines) + "\n")
+
+
+def _split_write(tmp_path, case, out, stdout=subprocess.DEVNULL):
+    """Start ``_SPLIT_WRITE`` on ``rescale --out out``; return the process
+    and the path its report goes to."""
+    report = tmp_path / f"report {case}.json"
+    argv = ["rescale", "--panel", str(tmp_path / "panel.csv"), "--out", out]
+    proc = subprocess.Popen(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", _SPLIT_WRITE, case, str(report), *argv],
+        env=dict(os.environ, PYTHONPATH=SRC), stdout=stdout, stderr=subprocess.PIPE, text=True,
+    )
+    return proc, report
+
+
+def _finish(proc, report, forks):
+    """Wait for ``proc``; return its exit status and stderr after checking
+    that it forked ``forks`` times and left no child and no descriptor."""
+    with proc:  # on a timeout: killed, then waited on
+        try:
+            stderr = proc.communicate(timeout=60)[1]
+        finally:
+            proc.kill()
+    assert json.loads(report.read_text()) == [forks, "none", True], stderr
+    return proc.returncode, stderr
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="only Linux splits a grid")
+@pytest.mark.parametrize("case", [
+    "plain", "a child fails before it writes", "a child fails after part of its block", "SIGCHLD ignored",
+])
+def test_split_write_of_a_large_panel_equals_the_unsplit_writer(tmp_path, case):
+    _split_write_panel(tmp_path)
+    outcomes = []
+    for run, out in ((case, tmp_path / "split.csv"), ("unsplit", tmp_path / "unsplit.csv")):
+        proc, report = _split_write(tmp_path, run, str(out))
+        outcomes.append(_finish(proc, report, 0 if run == "unsplit" else 2))
+    assert outcomes == [(0, ""), (0, "")]
+    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "unsplit.csv").read_bytes()
+
+
+@pytest.mark.skipif(sys.platform != "linux" or not os.path.exists("/dev/full"), reason="only Linux splits a grid")
+def test_split_write_to_a_full_device_fails_as_the_unsplit_writer(tmp_path):
+    _split_write_panel(tmp_path)
+    outcomes = [_finish(*_split_write(tmp_path, run, "/dev/full"), forks) for run, forks in (("plain", 2), ("unsplit", 0))]
+    assert outcomes[0] == outcomes[1]
+    status, stderr = outcomes[0]
+    assert status == 1 and stderr.startswith("foi rescale: ") and stderr.count("\n") == 1, stderr
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="only Linux splits a grid")
+def test_split_write_to_a_closed_stdout_fails_as_the_unsplit_writer(tmp_path):
+    # as `foi rescale --out - | head -c 100`
+    _split_write_panel(tmp_path)
+    outcomes = []
+    for run, forks in (("plain", 2), ("unsplit", 0)):
+        proc, report = _split_write(tmp_path, run, "-", stdout=subprocess.PIPE)
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        outcomes.append(_finish(proc, report, forks))
+    assert outcomes[0] == outcomes[1]
