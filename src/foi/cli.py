@@ -3,13 +3,15 @@
 One verb per pipeline stage: ``ingest``, ``rescale``, ``indices``,
 ``classify``, ``shift``, ``factors``, ``verify``, ``export``. Exit
 codes: 0 success, 1 input error, 2 numerical failure, 3 verification
-mismatches (only with ``--strict-verify``).
+mismatches (only with ``--strict-verify``), 141 standard output closed
+early by its reader (as a shell reports a filter that ``SIGPIPE`` ended).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 
@@ -35,6 +37,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NUMERICAL = 2
 EXIT_VERIFY = 3
+EXIT_PIPE = 141
 
 
 def _add_panel_flags(sp, panel_required=True):
@@ -338,7 +341,17 @@ def main(argv=None) -> int:
             else show(message, category, *rest)
         )
         try:
-            return COMMANDS[args.command](args)
+            status = COMMANDS[args.command](args)
+            sys.stdout.flush()
+            return status
+        except BrokenPipeError:
+            # the reader of the output left (`foi rescale | head`): end
+            # quietly, with stdout on /dev/null so that the flush at exit
+            # cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return EXIT_PIPE
         except (SingularMatrixError, UndefinedStatisticError) as exc:
             print(f"foi {args.command}: numerical failure: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL

@@ -7,20 +7,23 @@ so two files with permuted columns load to identical panels.
 
 from __future__ import annotations
 
+import collections
 import csv
 import functools
 import io
 import itertools
+import math
 import os
+import pickle
 import stat
 import sys
 import warnings
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DuplicateCountryError, PanelParseError, SchemaError
+from .errors import DuplicateCountryError, FoiError, PanelParseError, SchemaError
 from .manifest import IndicatorManifest
 
 
@@ -82,42 +85,48 @@ class ValidationReport:
     warnings: tuple[str, ...] = ()
 
 
-class _Unfit(Exception):
-    """A file the streamed parse cannot take exactly as the record loop would."""
-
-
 def _read_grid(path, order=None) -> tuple[list[str], list[str], np.ndarray]:
     """Parse a ``country,<column ids...>`` CSV into column ids, row codes
-    and a float grid, with the checks listed under ``load_panel``. The
-    one CSV reader of the package: ``factor.load_variable_matrix`` uses
-    it too.
-
-    When ``order`` holds every column id, the columns follow ``order``;
-    otherwise they follow the file. numpy's C tokenizer parses the data
-    lines as they stream from the file, so the peak is about one grid. A
-    file it cannot take exactly as ``_read_records`` would (a quote, a
-    whitespace-only cell, ``1_000``, a line of commas, a bad or infinite
-    cell, a short or long row, a repeated code) is read again by
-    ``_read_records``, which alone raises the reader's errors.
-    """
-    try:
-        return _read_streamed(path, order)
-    except (_Unfit, ValueError):
-        pass
-    columns, codes, grid = _read_records(path)
-    cols = _column_order(columns, order)
-    if cols != list(range(len(columns))):
-        columns, grid = [columns[j] for j in cols], grid[:, cols]
-    return columns, codes, grid
-
-
-def _column_order(columns: list[str], order) -> list[int]:
-    """Positions of ``columns`` sorted by their place in ``order``; the
-    file's order when ``order`` is None or lacks one of them."""
-    place = {col: i for i, col in enumerate(order or ())}
-    if order is None or not all(col in place for col in columns):
-        return list(range(len(columns)))
-    return sorted(range(len(columns)), key=lambda j: place[columns[j]])
+    and a float grid, with the checks listed under ``load_panel``; the
+    one CSV reader of the package. The columns follow ``order`` when it
+    holds every column id. The data lines are parsed as one span, or as
+    several at once in forked children (``_read_spans``), then as one if
+    a child fails. On a reader error, a repeated code or an infinite
+    cell they are parsed again with every row in the slow lane, which
+    raises the first error in file order."""
+    with open(path, "rb") as fh:
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        if not regular:  # a pipe: held, so that it can be read again
+            fh = io.BytesIO(fh.read())
+        raw = fh.readline()
+        if not raw:
+            raise SchemaError(f"{path}: empty file")
+        pieces = _pieces(raw)
+        header = next(_records(pieces, fh))
+        if pieces:  # records after the header on its line, cut by a lone \r
+            fh.seek(-len("".join(pieces).encode(errors="surrogateescape")), os.SEEK_CUR)
+        _check_utf8(header, f"{path}: header")
+        if not header or header[0].strip().lower() != "country":
+            raise SchemaError(f"{path}: first header column must be 'country'")
+        columns = [h.strip() for h in header[1:]]
+        if len(set(columns)) != len(columns):
+            raise SchemaError(f"{path}: duplicate columns")
+        place = {col: i for i, col in enumerate(order or ())}
+        cols = list(range(len(columns)))  # the file's order, or else ``order``'s
+        if order is not None and all(col in place for col in columns):
+            cols.sort(key=lambda j: place[columns[j]])
+        usecols = [1 + j for j in cols]
+        start = fh.tell()
+        bounds = _span_bounds(fh) if regular else []
+        try:
+            parsed = _read_spans(path, bounds, columns, usecols) if bounds else None
+            codes, grid = parsed or _parse_span(fh, start, path, columns, usecols)
+            clean = len(set(codes)) == len(codes) and not np.isinf(grid).any()
+        except (FoiError, csv.Error):
+            clean = False
+        if not clean:
+            codes, grid = _parse_span(fh, start, path, columns, usecols, seen=set())
+    return [columns[j] for j in cols], codes, grid
 
 
 # A file is cut into more than one span only when each span would hold
@@ -127,32 +136,134 @@ def _column_order(columns: list[str], order) -> list[int]:
 # win by about 14% at 2 MB and 30% from 8 MB up.
 _SPAN_MIN_BYTES = 1 << 20
 
+_EVERY_ROW = range(sys.maxsize)  # as ``_parse_span``'s slow rows: all of them
 
-def _read_streamed(path, order) -> tuple[list[str], list[str], np.ndarray]:
-    """The fast path of ``_read_grid``; raises ``_Unfit`` or ``ValueError``
-    for any file it cannot read exactly as ``_read_records`` does.
 
-    The data lines are cut into byte spans on line boundaries
-    (``_span_bounds``). One span is parsed in process, several at once in
-    forked children (``_read_spans``); the checks that need every row
-    run on the gathered result."""
-    with open(path, "rb") as fh:
-        head = next(_text_lines([fh.readline()]))  # ValueError: not UTF-8
-        header = head.rstrip("\n").split(",")
-        columns = [h.strip() for h in header[1:]]
-        if ('"' in head or "\0" in head or header[0].strip().lower() != "country"
-                or not columns or len(set(columns)) != len(columns)):
-            raise _Unfit
-        cols = _column_order(columns, order)
-        usecols = [1 + j for j in cols]
-        bounds = _span_bounds(fh)
-        if not bounds:
-            codes, grid = _parse_span(_text_lines(fh), len(columns), usecols)
-    if bounds:
-        codes, grid = _read_spans(path, bounds, len(columns), usecols)
-    if not codes or np.isinf(grid).any() or len(set(codes)) != len(codes):
-        raise _Unfit  # no data rows, an infinite cell or a repeated code
-    return [columns[j] for j in cols], codes, grid
+def _parse_span(fh, start, path, columns, usecols, size=None, seen=None):
+    """The codes and the float grid (columns ``usecols``) of the data
+    lines of the byte stream ``fh`` from ``start``, ``size`` bytes or all,
+    as numpy's C tokenizer parses them while they stream. A line with a
+    quote, a byte that is not UTF-8, a lone ``\\r``, other than
+    ``len(columns)`` commas, or an empty or NUL code takes the slow lane:
+    ``_records`` reads it and ``_record`` checks it. A row with a cell
+    loadtxt refuses takes it in a second pass, every row in a third, and
+    every row with ``seen``, the set of codes so far, which also bars a
+    repeated code."""
+    width, cols = len(columns), [u - 1 for u in usecols]
+    end = math.inf if size is None else start + size
+    slow = set() if width and seen is None else _EVERY_ROW  # rows, by index
+    while True:
+        fh.seek(start)
+        codes, rows = [], {}
+
+        def lines(budget=end - start):
+            shift = 1  # a line's data row, as csv counts records, less its index
+            for i, raw in enumerate(fh):
+                budget -= len(raw)
+                line = raw.decode(errors="replace")  # a U+FFFD: the slow lane names the byte
+                if line.endswith("\r\n"):
+                    line = line[:-2] + "\n"
+                if (line.count(",") == width and len(codes) not in slow and '"' not in line and "\r" not in line
+                        and "\ufffd" not in line and (code := line[: line.index(",")].strip()) and "\0" not in code):
+                    codes.append(code)
+                    line = line.replace(",,", ",nan,")
+                    if ",," in line:  # a run of empty cells
+                        line = line.replace(",,", ",nan,")
+                    yield line.rstrip("\n") + "nan" if line.endswith((",", ",\n")) else line
+                elif "\r" in line or not line.isspace():
+                    for row, rec in enumerate(_records(_pieces(raw), fh), start=i + shift):
+                        if got := _record(path, row, rec, columns, seen):
+                            rows[len(codes)] = got[1][cols]
+                            codes.append(got[0])
+                            yield "nan" + ",nan" * width  # loadtxt's row, overwritten below
+                    shift, budget = row - i, end - fh.tell()
+                if budget <= 0:
+                    return
+
+        data = lines()
+        first = next(data, None)
+        if first is None:  # no data rows: loadtxt would warn
+            return codes, np.empty((0, len(usecols)))
+        try:
+            grid = np.loadtxt(
+                itertools.chain((first,), data), delimiter=",", comments=None, quotechar=None,
+                ndmin=2, usecols=usecols,
+            )
+        except ValueError:  # a cell loadtxt cannot read, in the last row it took
+            if slow is _EVERY_ROW:
+                raise
+            slow = _EVERY_ROW if slow else {len(codes) - 1}
+            continue
+        for k, values in rows.items():
+            grid[k] = values
+        return codes, grid
+
+
+def _pieces(raw: bytes) -> collections.deque:
+    """The byte line ``raw`` as the lines of a UTF-8 file opened with
+    ``newline=""`` and ``errors="surrogateescape"``."""
+    return collections.deque(io.StringIO(raw.decode(errors="surrogateescape"), newline=""))
+
+
+def _records(pieces: collections.deque, more):
+    """Yield the CSV records that start in the lines ``pieces``, as
+    ``csv.reader`` reads them, reading on into the byte lines of ``more``
+    while a quoted field is open; what follows them stays in ``pieces``."""
+    def feed():
+        while True:
+            while pieces:
+                yield pieces.popleft()
+            raw = next(more, None)
+            if raw is None:
+                return
+            pieces.extend(_pieces(raw))
+
+    reader = csv.reader(feed())
+    while pieces:
+        yield next(reader)
+
+
+def _record(path, row: int, rec: list[str], columns: list[str], seen) -> tuple[str, np.ndarray] | None:
+    """The code and the float cells of the CSV record ``rec``, data row
+    ``row``, or None for a blank one; the reader's error for a byte that
+    is not UTF-8, a code in ``seen``, a wrong cell count, or a stripped
+    cell that is not empty (``nan``) or a finite number."""
+    if all(not c.strip() for c in rec):
+        return None
+    _check_utf8(rec, f"{path}: row {row}", row)
+    code = rec[0].strip()
+    if seen is not None:
+        if code in seen:
+            raise DuplicateCountryError(f"{path}: duplicate country row {code!r}")
+        seen.add(code)
+    if len(rec) != len(columns) + 1:
+        raise SchemaError(f"{path}: row {row} ({code}) has {len(rec) - 1} cells, expected {len(columns)}")
+    cells = [c.strip() or "nan" for c in rec[1:]]
+    try:
+        values = np.array(cells, dtype=float)
+        bad = np.flatnonzero(np.isinf(values))
+    except ValueError:  # name the first cell that is not a number
+        for bad, cell in enumerate(cells):
+            try:
+                float(cell)
+            except ValueError:
+                break
+        bad = [bad]
+    if len(bad):
+        col, cell = columns[bad[0]], cells[bad[0]]
+        message = f"{path}: row {row} ({code}), column {col!r}: cannot parse {cell!r} as a finite number"
+        raise PanelParseError(message, row=row, column=col)
+    return code, values
+
+
+def _check_utf8(cells: list[str], where: str, row=None) -> None:
+    """Raise ``PanelParseError`` naming the first byte of ``cells``, read
+    with ``surrogateescape``, that is not UTF-8."""
+    try:
+        "".join(cells).encode()
+    except UnicodeEncodeError as exc:
+        byte = ord(exc.object[exc.start]) - 0xDC00
+        raise PanelParseError(f"{where}: byte {byte:#04x} is not UTF-8 text", row=row) from None
 
 
 def _usable_cpus() -> int:
@@ -162,105 +273,88 @@ def _usable_cpus() -> int:
 
 
 def _span_bounds(fh) -> list[int]:
-    """Byte offsets that cut the rest of the file ``fh`` into spans, each
-    starting and ending on a line boundary: one span per usable CPU when
-    each would hold at least ``_SPAN_MIN_BYTES``. Empty when the rest is
-    one span: a small file, any stream but a regular file, any system
-    but Linux."""
-    info = os.fstat(fh.fileno())
-    if not stat.S_ISREG(info.st_mode):
-        return []
-    start = fh.tell()
-    n = min(_usable_cpus(), (info.st_size - start) // _SPAN_MIN_BYTES)
+    """Byte offsets that cut the rest of the regular file ``fh`` into
+    spans on line boundaries, one per usable CPU when each would hold at
+    least ``_SPAN_MIN_BYTES``; empty when the rest is one span."""
+    start, end = fh.tell(), os.fstat(fh.fileno()).st_size
+    n = min(_usable_cpus(), (end - start) // _SPAN_MIN_BYTES)
     if n < 2:
         return []
     bounds = [start]
     for i in range(1, n):
-        fh.seek(max(bounds[-1], start + (info.st_size - start) * i // n))
+        fh.seek(max(bounds[-1], start + (end - start) * i // n))
         fh.readline()  # a span ends just after a line feed
         bounds.append(fh.tell())
-    return bounds + [info.st_size]
+    return bounds + [end]
 
 
-def _text_lines(raw_lines, size=None):
-    """The byte lines ``raw_lines``, up to ``size`` bytes of them, as
-    text-mode ``open`` yields them: decoded as UTF-8 (else
-    ``UnicodeDecodeError``), ``\\r\\n`` read as ``\\n``. A ``\\r``
-    anywhere else raises ``_Unfit``: text mode would end a line there."""
-    for raw in raw_lines:
-        line = raw.decode()
-        if "\r" in line:
-            if not line.endswith("\r\n") or "\r" in line[:-2]:
-                raise _Unfit
-            line = line[:-2] + "\n"
-        yield line
-        if size is not None:
-            size -= len(raw)
-            if size <= 0:
-                return
-
-
-def _parse_span(lines, width: int, usecols: list[int]) -> tuple[list[str], np.ndarray]:
-    """The codes and the float grid (columns ``usecols``) of the text
-    lines ``lines``, parsed by numpy's C tokenizer as they stream."""
-    codes: list[str] = []
-    data = _data_lines(lines, width, codes)
-    first = next(data, None)
-    if first is None:  # no data rows: loadtxt would warn
-        return codes, np.empty((0, len(usecols)))
-    grid = np.loadtxt(
-        itertools.chain((first,), data), delimiter=",", comments=None, quotechar=None,
-        ndmin=2, usecols=usecols,
-    )
-    return codes, grid
-
-
-def _read_spans(path, bounds: list[int], width: int, usecols: list[int]):
+def _read_spans(path, bounds: list[int], columns: list[str], usecols: list[int]):
     """Parse the spans of ``path`` between consecutive ``bounds`` at once,
     each in a forked child, and gather their codes and one grid in file
-    order. Each child sends the byte length of its codes, the codes, then
-    its raw float bytes, which are read straight into the grid's rows. A
-    child that fails or dies sends less, and ``_Unfit`` is raised. Every
-    pipe is closed before any child is waited on, so a child blocked on a
-    full pipe gets ``EPIPE`` and exits, whatever goes wrong here."""
-    pids, pipes, parts = [], [], []
-    try:
-        for start, end in zip(bounds, bounds[1:]):
-            try:
-                pid, pipe = _fork(functools.partial(_span_child, path, start, end - start, width, usecols), pipes)
-            except OSError:
-                raise _Unfit from None
-            pids.append(pid)
-            pipes.append(pipe)
-        for pipe in pipes:
-            size = pipe.readline()
-            text = pipe.read(int(size)) if size.endswith(b"\n") else None
-            if text is None or len(text) != int(size):
-                raise _Unfit
-            parts.append(text.decode().split("\n") if text else [])
+    order; None when a fork fails or a child sends less than it should,
+    as one that meets a reader error does."""
+    spans = zip(bounds, bounds[1:])
+    with _forked(functools.partial(_span_child, path, a, b - a, columns, usecols) for a, b in spans) as pipes:
+        try:
+            parts = [pickle.load(pipe) for pipe in pipes]
+        except (EOFError, pickle.UnpicklingError):
+            return None
+        if len(parts) < len(bounds) - 1:
+            return None
         grid = np.empty((sum(map(len, parts)), len(usecols)))
         row = 0
         for pipe, codes in zip(pipes, parts):
             rows = grid[row : row + len(codes)]
             if pipe.readinto(rows) != rows.nbytes:
-                raise _Unfit
+                return None
             row += len(codes)
+    return [code for codes in parts for code in codes], grid
+
+
+def _span_child(path, start: int, size: int, columns: list[str], usecols: list[int], w: int) -> None:
+    """A forked child's work: parse ``size`` bytes of ``path`` from
+    ``start``; write the pickled codes, then the grid's raw floats, to
+    the pipe ``w``. Fails when a record reads on past the span."""
+    with open(w, "wb") as out, open(path, "rb") as fh:
+        codes, grid = _parse_span(fh, start, path, columns, usecols, size)
+        if fh.tell() > start + size:
+            raise EOFError(f"a record runs on past byte {start + size}")
+        pickle.dump(codes, out)
+        out.write(grid)
+
+
+@contextmanager
+def _forked(works):
+    """Fork a child per callable of ``works`` (see ``_fork``) until a fork
+    fails, and yield the read ends of their pipes in order. On leaving,
+    every pipe is closed before any child is waited on, so a child
+    blocked on a full pipe gets ``EPIPE`` and exits, and none outlives
+    the block; one the system reaped (``SIGCHLD`` ignored) is let be."""
+    pids, pipes = [], []
+    try:
+        for work in works:
+            try:
+                pid, pipe = _fork(work, pipes)
+            except OSError:
+                break
+            pids.append(pid)
+            pipes.append(pipe)
+        yield pipes
     finally:
         for pipe in pipes:
             pipe.close()
         for pid in pids:
-            _reap(pid)
-    return [code for codes in parts for code in codes], grid
+            with suppress(ChildProcessError):
+                os.waitpid(pid, 0)
 
 
 def _fork(work, pipes):
     """Fork a child that runs ``work(w)`` on the write end ``w`` of a new
-    pipe; return its pid and the pipe's binary read end. ``OSError`` when
-    there is no pipe or no process to be had. The child closes its elder
-    siblings' read ends ``pipes``, and leaves by ``os._exit``: status 0
-    when ``work`` returns, 1 when it raises. The work the reader and the
-    writer give it imports nothing and does no BLAS work, so forking a
-    process that runs BLAS threads is safe."""
+    pipe; return its pid and the pipe's binary read end, or raise
+    ``OSError``. The child closes its elder siblings' read ends ``pipes``
+    and leaves by ``os._exit``: 0 when ``work`` returns, 1 when it
+    raises. The works given import nothing and do no BLAS work, so
+    forking a process that runs BLAS threads is safe."""
     r, w = os.pipe()
     try:
         with warnings.catch_warnings():
@@ -281,122 +375,6 @@ def _fork(work, pipes):
             os._exit(status)
     os.close(w)
     return pid, open(r, "rb")
-
-
-def _reap(pid: int) -> int:
-    """Wait for the child ``pid`` to exit; its wait status, or -1 when
-    the system reaped it already (``SIGCHLD`` ignored), so that its
-    status is unknown."""
-    try:
-        return os.waitpid(pid, 0)[1]
-    except ChildProcessError:
-        return -1
-
-
-def _span_child(path, start: int, size: int, width: int, usecols: list[int], w: int) -> None:
-    """A forked child's work: parse ``size`` bytes of ``path`` from
-    ``start`` and write what ``_read_spans`` reads to the pipe ``w``."""
-    with open(w, "wb") as out, open(path, "rb") as fh:
-        fh.seek(start)
-        codes, grid = _parse_span(_text_lines(fh, size), width, usecols)
-        text = "\n".join(codes).encode()
-        out.write(b"%d\n" % len(text))
-        out.write(text)
-        out.write(grid)
-
-
-def _data_lines(lines, width: int, codes: list[str]):
-    """Yield the data lines of ``lines`` for ``np.loadtxt``, each empty
-    cell spelled ``nan``, and append each row's code to ``codes``. Blank
-    lines are dropped; a line with a quote, a NUL or empty code, or other
-    than ``width`` commas raises ``_Unfit``."""
-    for line in lines:
-        if line.count(",") != width or '"' in line:
-            if line.isspace():
-                continue
-            raise _Unfit
-        code = line[: line.index(",")].strip()
-        if not code or "\0" in code:
-            raise _Unfit
-        codes.append(code)
-        line = line.replace(",,", ",nan,")
-        if ",," in line:  # a run of empty cells
-            line = line.replace(",,", ",nan,")
-        yield line.rstrip("\n") + "nan" if line.endswith((",", ",\n")) else line
-
-
-def _read_records(path) -> tuple[list[str], list[str], np.ndarray]:
-    """The record loop behind ``_read_grid``: ``csv.reader`` and one
-    ``float`` parse per row. It is the only code that raises a reader
-    error, and the only path for quoted fields, whitespace-only cells and
-    other input the C tokenizer refuses."""
-    # a byte that is not UTF-8 is read as a lone surrogate and named below
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        if bad := _undecodable(header):
-            raise PanelParseError(f"{path}: header: {bad}")
-        if not header or header[0].strip().lower() != "country":
-            raise SchemaError(f"{path}: first header column must be 'country'")
-        columns = [h.strip() for h in header[1:]]
-        if len(set(columns)) != len(columns):
-            raise SchemaError(f"{path}: duplicate columns")
-
-        codes: list[str] = []
-        seen: set[str] = set()
-        rows: list[np.ndarray] = []
-        for lineno, rec in enumerate(reader, start=1):
-            if not rec or all(not c.strip() for c in rec):
-                continue
-            if bad := _undecodable(rec):
-                raise PanelParseError(f"{path}: row {lineno}: {bad}", row=lineno)
-            code = rec[0].strip()
-            if code in seen:
-                raise DuplicateCountryError(f"{path}: duplicate country row {code!r}")
-            if len(rec) != len(columns) + 1:
-                raise SchemaError(
-                    f"{path}: row {lineno} ({code}) has {len(rec) - 1} cells, expected {len(columns)}"
-                )
-            cells = [c.strip() or "nan" for c in rec[1:]]
-            try:
-                row = np.array(cells, dtype=float)
-                bad = np.flatnonzero(np.isinf(row))
-            except ValueError:
-                bad = [j for j, cell in enumerate(cells) if not _is_number(cell)]
-            if len(bad):
-                col, cell = columns[bad[0]], cells[bad[0]]
-                raise PanelParseError(
-                    f"{path}: row {lineno} ({code}), column {col!r}: "
-                    f"cannot parse {cell!r} as a finite number",
-                    row=lineno,
-                    column=col,
-                )
-            seen.add(code)
-            codes.append(code)
-            rows.append(row)
-    values = np.vstack(rows) if rows else np.empty((0, len(columns)))
-    return columns, codes, values
-
-
-def _undecodable(cells: list[str]) -> str:
-    """What is wrong with ``cells``, read with ``surrogateescape``: the
-    first byte that is not UTF-8, named; empty when they all decode."""
-    try:
-        "".join(cells).encode()
-    except UnicodeEncodeError as exc:
-        return f"byte {ord(exc.object[exc.start]) - 0xDC00:#04x} is not UTF-8 text"
-    return ""
-
-
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return True
 
 
 def load_panel(panel_csv, manifest: IndicatorManifest, epoch: int = 0) -> IndicatorPanel:
@@ -455,45 +433,24 @@ def _write_grid(fh, columns, codes, values: np.ndarray) -> None:
     endings, byte for byte as ``csv.writer`` writes it.
 
     The rows are cut into one contiguous block per usable CPU when each
-    block holds at least ``_WRITE_MIN_CELLS`` cells. The parent formats
-    the first block into ``fh`` while a forked child formats each other
-    one; the parent then writes each child's block in row order, but
-    only if that child exited with status 0, and formats any other block
-    itself, so the bytes never depend on the split. Only the parent
-    writes to ``fh``. Should a write to ``fh`` fail, every pipe is closed
-    before the children left are waited on, so a child blocked on a full
-    pipe gets ``EPIPE`` and exits, and none outlives the call."""
+    holds at least ``_WRITE_MIN_CELLS`` cells. The parent formats the
+    first into ``fh`` while a forked child formats each other one; the
+    parent then writes each child's block in row order, or formats it
+    itself when the fork failed or the child sent less than the whole
+    block, so the bytes never depend on the split."""
     csv.writer(fh, lineterminator="\n").writerow(["country", *columns])
     n = max(1, min(_usable_cpus(), values.size // _WRITE_MIN_CELLS))
     blocks = [slice(len(codes) * i // n, len(codes) * (i + 1) // n) for i in range(n)]
-    pids, pipes = [], []
-    try:
-        for rows in blocks[1:]:
-            try:
-                pid, pipe = _fork(functools.partial(_block_child, codes[rows], values[rows]), pipes)
-            except OSError:
-                break  # the parent formats this block and the rest
-            pids.append(pid)
-            pipes.append(pipe)
+    with _forked(functools.partial(_block_child, codes[rows], values[rows]) for rows in blocks[1:]) as pipes:
         fh.writelines(_grid_lines(codes[blocks[0]], values[blocks[0]]))
         for i, rows in enumerate(blocks[1:]):
-            text = None
-            if i < len(pids):
-                text = pipes[i].read()
-                pipes[i].close()
-                if _reap(pids[i]) != 0:
-                    text = None
-                pids[i] = None
-            if text is None:
-                fh.writelines(_grid_lines(codes[rows], values[rows]))
-            else:
+            text = pipes[i].read() if i < len(pipes) else b""
+            # a whole block holds a line feed per row and per line feed in
+            # its codes; a child that failed or died sent only a prefix of it
+            if text.count(b"\n") == len(codes[rows]) + "".join(codes[rows]).count("\n"):
                 fh.write(text.decode())
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
-            if pid is not None:
-                _reap(pid)
+            else:
+                fh.writelines(_grid_lines(codes[rows], values[rows]))
 
 
 def _grid_lines(codes, values: np.ndarray):
@@ -507,9 +464,9 @@ def _grid_lines(codes, values: np.ndarray):
 
 def _block_child(codes, values: np.ndarray, w: int) -> None:
     """A forked child's work: the lines of ``_grid_lines`` as one UTF-8
-    byte string, written to the pipe ``w`` at once. A child that wrote
-    row by row would stall on the full pipe while the parent is still
-    on earlier blocks."""
+    byte string, written to the pipe ``w`` at once, not row by row,
+    which would stall on the full pipe while the parent is still on
+    earlier blocks."""
     with open(w, "wb") as out:
         out.write("".join(_grid_lines(codes, values)).encode())
 

@@ -19,17 +19,10 @@ import foi
 from foi import panel
 from foi.errors import DuplicateCountryError, PanelParseError, SchemaError
 from foi.manifest import default_manifest, manifest_from_records
-from foi.panel import (
-    _read_grid,
-    _read_records,
-    _read_streamed,
-    _write_grid,
-    load_panel,
-    validate_panel,
-    write_panel,
-)
+from foi.panel import _read_grid, _write_grid, load_panel, validate_panel, write_panel
 
 from conftest import make_manifest, make_panel
+from record_loop import _read_records
 
 SRC = str(Path(foi.__file__).resolve().parents[1])
 
@@ -261,16 +254,37 @@ def test_load_panel_peak_memory_stays_near_one_grid_when_split(tmp_path, monkeyp
 # ------------------------------------------- streamed parse against the loop
 
 
-def test_streamed_parse_takes_plain_files(tmp_path):
+def _slow_lane_rows(monkeypatch):
+    """The data rows of the records the reader's slow lane checks, in
+    the order it checks them."""
+    rows, record = [], panel._record
+    monkeypatch.setattr(panel, "_record", lambda path, row, *rest: rows.append(row) or record(path, row, *rest))
+    return rows
+
+
+def test_streamed_parse_takes_plain_files(tmp_path, monkeypatch):
     # empty cells anywhere in a row, runs of them, blank lines, CRLF and
     # a last line without a terminator stay on the fast path
     text = "country,a,b,c\r\nAAA,,2,\r\n\r\nBBB,,,\r\nCCC, 1.5 ,nan,-3e2"
     path = tmp_path / "plain.csv"
     path.write_bytes(text.encode())
-    got = _read_streamed(path, ("c", "a", "b"))
+    slow = _slow_lane_rows(monkeypatch)
+    got = _read_grid(path, ("c", "a", "b"))
     want = _read_records(path)
     assert got[0] == ["c", "a", "b"] and got[1] == want[1] == ["AAA", "BBB", "CCC"]
     assert got[2].tobytes() == want[2][:, [2, 0, 1]].tobytes()
+    assert slow == []
+
+
+def test_only_the_line_of_a_quoted_code_takes_the_slow_lane(tmp_path, monkeypatch):
+    # legal CSV, as in an OECD panel: the other lines stay on the fast path
+    lines = ["country,a,b"] + [f"C{i},{i},{i}.5" for i in range(1, 60)]
+    lines[30] = '"Korea, Rep.",30,30.5'
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    slow = _slow_lane_rows(monkeypatch)
+    columns, codes, grid = _read_grid(path)
+    assert slow == [30] and codes[29] == "Korea, Rep."
+    assert grid.tolist() == [[i, i + 0.5] for i in range(1, 60)]
 
 
 def test_panel_keeps_the_readers_grid(tmp_path):
@@ -293,7 +307,7 @@ _ODD_CELLS = st.sampled_from([
     " ", "\t", "inf", "-Infinity", "1e400", "-1e400", "abc", "1_000", "\u0661", '"1.5"', '""', '" "',
     "9\udce9",
 ])
-_ODD_CODES = st.sampled_from(["AAA", "BBB", " AAA ", '"BBB"', '"C,C"', "", "  ", "caf\udce9"])
+_ODD_CODES = st.sampled_from(["AAA", "BBB", " AAA ", '"BBB"', '"C,C"', '"C\nC"', '"CC', "", "  ", "caf\udce9"])
 
 
 @st.composite
@@ -370,6 +384,16 @@ def test_streamed_reader_equals_record_loop(tmp_path_factory, text, rnd):
     _equals_record_loop(path, rnd)
 
 
+@pytest.mark.parametrize("text", [
+    "country,a\rAAA,1\rBBB,2\r",  # classic Mac line ends: one line holds the header and every row
+    "country,a\nAAA,1\n\r\r\nBBB,x\n",  # two blank records on one line, then a bad cell in row 4
+])
+def test_lone_carriage_returns_end_records_as_in_the_record_loop(tmp_path, text):
+    path = tmp_path / "cr.csv"
+    path.write_bytes(text.encode())
+    assert _outcome(_read_grid, path) == _outcome(_read_records, path)
+
+
 def _force_split(monkeypatch, cpus):
     """Cut every file with at least ``cpus`` bytes of data lines into
     ``cpus`` spans, whatever the machine; return the list each cut's
@@ -386,6 +410,7 @@ def _force_split(monkeypatch, cpus):
 @given(grid_files(), st.integers(2, 4), st.randoms(use_true_random=False))
 @example("country,a\n\n\n\nAAA,1\n\n\n", 4, random.Random(0))  # spans of blank lines only
 @example("country,a,b\nAAA,1,2\n\n", 3, random.Random(0))  # spans with no line at all
+@example('country,a\n"CCCCCCCCCC\nC",1\nD,2\n', 2, random.Random(0))  # a record over a span's end
 def test_split_reader_equals_record_loop(tmp_path_factory, text, cpus, rnd):
     # small files cut into two to four spans, so that spans hold a line
     # or two, only blank lines, or nothing
@@ -420,6 +445,14 @@ elif case == "a child fails after it writes":
     panel._span_child = lambda *args: span_child(*args) or os._exit(3)
 elif case == "SIGCHLD ignored":  # the system reaps each child
     signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+elif case == "a fork fails":  # the second of three
+    fork, forks = os.fork, []
+    def failing_fork():
+        forks.append(1)
+        if len(forks) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+    os.fork = failing_fork
 try:
     columns, codes, grid = panel._read_grid(path)
     outcome = [columns, codes, list(grid.shape), hashlib.sha256(grid.tobytes()).hexdigest()]
@@ -438,6 +471,8 @@ print(json.dumps([outcome, spans, children, sorted(os.listdir("/proc/self/fd")) 
 @pytest.mark.parametrize("case", [
     "plain", "quote in the first span", "inf in the last span", "code repeated across spans",
     "a child fails before it writes", "a child fails after it writes", "SIGCHLD ignored",
+    "a quote in the last span", "a bad cell in the middle span and a repeated code after it",
+    "a fork fails",
 ])
 def test_split_read_of_a_large_file_ends_as_the_record_loop(tmp_path, case):
     # each span holds far more than a pipe buffer, so a child blocks on
@@ -453,6 +488,12 @@ def test_split_read_of_a_large_file_ends_as_the_record_loop(tmp_path, case):
         lines[-2] = ",".join([code, "inf", rest])
     elif case == "code repeated across spans":
         lines[-1] = lines[-1].replace("C1499", "C0001")
+    elif case == "a quote in the last span":
+        lines[-3] = lines[-3].replace("C1497", '"C1497"')
+    elif case == "a bad cell in the middle span and a repeated code after it":
+        code, _, rest = lines[750].split(",", 2)
+        lines[750] = ",".join([code, "oops", rest])
+        lines[1200] = lines[1200].replace("C1199", "C0001")
     path = tmp_path / "large.csv"
     path.write_text("\n".join(lines) + "\n")
     assert path.stat().st_size >= 1 << 20
@@ -551,6 +592,14 @@ elif case == "a child fails after part of its block":
     panel._block_child = lambda codes, values, w: block_child(codes[:9], values[:9], w) or os._exit(3)
 elif case == "SIGCHLD ignored":  # the system reaps each child
     signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+elif case == "a fork fails":  # the second of two
+    real_fork, fork_calls = os.fork, []
+    def failing_fork():
+        fork_calls.append(1)
+        if len(fork_calls) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return real_fork()
+    os.fork = failing_fork
 status = main(argv)
 try:
     os.waitpid(-1, os.WNOHANG)
@@ -602,6 +651,7 @@ def _finish(proc, report, forks):
 @pytest.mark.skipif(sys.platform != "linux", reason="only Linux splits a grid")
 @pytest.mark.parametrize("case", [
     "plain", "a child fails before it writes", "a child fails after part of its block", "SIGCHLD ignored",
+    "a fork fails",
 ])
 def test_split_write_of_a_large_panel_equals_the_unsplit_writer(tmp_path, case):
     _split_write_panel(tmp_path)
@@ -624,7 +674,8 @@ def test_split_write_to_a_full_device_fails_as_the_unsplit_writer(tmp_path):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="only Linux splits a grid")
 def test_split_write_to_a_closed_stdout_fails_as_the_unsplit_writer(tmp_path):
-    # as `foi rescale --out - | head -c 100`
+    # as `foi rescale --out - | head -c 100`: a quiet end, with the status
+    # a shell gives a filter that SIGPIPE ended
     _split_write_panel(tmp_path)
     outcomes = []
     for run, forks in (("plain", 2), ("unsplit", 0)):
@@ -632,4 +683,4 @@ def test_split_write_to_a_closed_stdout_fails_as_the_unsplit_writer(tmp_path):
         assert len(proc.stdout.read(100)) == 100
         proc.stdout.close()
         outcomes.append(_finish(proc, report, forks))
-    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == outcomes[1] == (141, "")
