@@ -59,6 +59,6 @@ from .manifest import (
 from .panel import IndicatorPanel, ValidationReport, load_panel, validate_panel, write_panel
 from .pillar import FoiScores, compute_pillar_scores, rank_countries
 from .reference import ReferenceFixture, VerifyReport, load_fixture, verify_reference
-from .rescale import min_max_rescale, rescale_panel
+from .rescale import min_max_rescale, rescale_panel, rescale_rule
 
 __version__ = "0.1.0"

@@ -89,9 +89,15 @@ class ShiftReport:
 
 def _cluster_ids(index: np.ndarray, threshold: float, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """Cluster ids and 3-bit borderline masks (F 4, O 2, I 1) for the
-    columns of a (3, n) array of F, O and I indices. The first column
-    with an index outside [1, 7] (``nan`` included) raises ``DomainError``.
+    columns of a (3, n) array of F, O and I indices. A ``threshold`` that
+    is not a finite number in [1, 7], an ``epsilon`` that is not a finite
+    number >= 0, and then the first column with an index outside [1, 7]
+    (``nan`` included) raise ``DomainError``.
     """
+    if not 1.0 <= threshold <= 7.0:  # nan fails every comparison
+        raise DomainError(f"threshold must be a finite number in [1, 7], got {threshold!r}")
+    if not 0.0 <= epsilon < np.inf:
+        raise DomainError(f"epsilon must be a finite number >= 0, got {epsilon!r}")
     bad = ~((index >= 1.0) & (index <= 7.0))
     if bad.any():
         k = np.flatnonzero(bad.any(axis=0))[0]

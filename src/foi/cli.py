@@ -31,7 +31,7 @@ from .errors import DataWarning, FoiError, SchemaError, SingularMatrixError, Und
 from .manifest import PILLARS, default_manifest, load_manifest
 from .panel import load_panel, validate_panel, write_panel
 from .reference import verify_reference
-from .rescale import rescale_panel
+from .rescale import rescale_panel, rescale_rule
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -118,9 +118,8 @@ def _load_inputs(args):
 
 def _scores_for(panel_path, manifest, epoch, missing_policy):
     panel = load_panel(panel_path, manifest, epoch=epoch)
-    rescaled = rescale_panel(panel, manifest)
-    del panel  # frees the raw grid before the aggregation
-    scores = pillar.compute_pillar_scores(rescaled, manifest, missing_policy=missing_policy)
+    rule = rescale_rule(panel, manifest)
+    scores = pillar.compute_pillar_scores(panel, manifest, missing_policy=missing_policy, rescale=rule)
     return pillar.rank_countries(scores)
 
 

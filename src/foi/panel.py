@@ -268,7 +268,7 @@ def _check_utf8(cells: list[str], where: str, row=None) -> None:
 
 def _usable_cpus() -> int:
     """The CPUs this process may run on; 1 on any system but Linux, the
-    only one on which the reader and the writer fork."""
+    only one on which the reader, the writer and the aggregate fork."""
     return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
 
 

@@ -9,13 +9,13 @@ series still counts once in the pillar mean.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import AggregationError, DomainError
 from .manifest import PILLARS, IndicatorManifest
-from .panel import IndicatorPanel
+from .panel import IndicatorPanel, _forked, _usable_cpus
 
 MISSING_POLICIES = ("available_mean", "strict")
 
@@ -49,53 +49,90 @@ class FoiScores:
 
 
 def compute_pillar_scores(
-    rescaled: IndicatorPanel,
+    panel: IndicatorPanel,
     manifest: IndicatorManifest,
     missing_policy: str = "available_mean",
+    rescale=None,
 ) -> FoiScores:
-    """Aggregate a rescaled panel into F/O/I indices.
+    """Aggregate a rescaled panel into F/O/I indices; or a raw one, with
+    its columns' ``rescale.RescaleRule`` as ``rescale``, applied to each
+    block of rows on its way in.
 
     Under ``available_mean`` each index is the mean of the country's
     observed components in the pillar; a country with no observed
     component in some pillar is an error. Under ``strict`` any missing
     component makes the pillar index missing (``nan``).
+
+    The rows are cut into one range per usable CPU when each holds at
+    least ``_SPLIT_MIN_CELLS`` cells. The process aggregates the first
+    while a forked child aggregates each other one, or the process does,
+    when the fork failed or the child sent less than its whole result.
     """
     if missing_policy not in MISSING_POLICIES:
         raise DomainError(f"missing_policy must be one of {MISSING_POLICIES}, got {missing_policy!r}")
-    n, p = rescaled.values.shape
-    col_of = {ind: j for j, ind in enumerate(rescaled.indicators)}
+    n, p = panel.values.shape
+    col_of = {ind: j for j, ind in enumerate(panel.indicators)}
     # per pillar, the panel columns of each component's members as an
     # (m, components) array, padded with column p, which is all nan
-    members = {}
+    members = []
     for pillar in PILLARS:
         components = manifest.pillar_components(pillar)
         if not components:
             raise AggregationError(f"manifest has no components for pillar {pillar!r}")
         cols = [[col_of[m] for m in ids] for _, ids in components]
         width = max(map(len, cols))
-        members[pillar] = np.array([c + [p] * (width - len(c)) for c in cols], dtype=np.intp).T
-    index = {pillar: np.empty(n) for pillar in PILLARS}
-    count = {pillar: np.empty(n, dtype=int) for pillar in PILLARS}
-    # a block of countries at a time, so that every temporary stays small
-    rows = max(1, min(n, _BLOCK_CELLS // (p + 1)))
-    columns = np.full((p + 1, rows), np.nan)
-    for i in range(0, n, rows):
-        block = rescaled.values[i : i + rows]
-        columns[:p, : len(block)] = block.T  # the block's indicators as contiguous rows
-        for pillar, cols in members.items():
-            count[pillar][i : i + rows], index[pillar][i : i + rows] = _pillar_means(
-                columns[:, : len(block)][cols], missing_policy
-            )
-    for pillar in PILLARS:
-        if missing_policy == "available_mean" and not count[pillar].all():
-            i = np.flatnonzero(count[pillar] == 0)[0]
+        members.append(np.array([c + [p] * (width - len(c)) for c in cols], dtype=np.intp).T)
+    work = partial(_aggregate, members=members, rule=rescale, missing_policy=missing_policy)
+    parts = max(1, min(_usable_cpus(), panel.values.size // _SPLIT_MIN_CELLS))
+    ranges = [slice(n * i // parts, n * (i + 1) // parts) for i in range(parts)]
+    # per country: its F, O and I counts of observed components, then indices
+    out = np.empty((n, 2 * len(PILLARS)))
+    with _forked(partial(work, panel.values[rows]) for rows in ranges[1:]) as pipes:
+        out[ranges[0]] = work(panel.values[ranges[0]])
+        for i, rows in enumerate(ranges[1:]):
+            if i >= len(pipes) or pipes[i].readinto(out[rows]) != out[rows].nbytes:
+                out[rows] = work(panel.values[rows])
+    for k, pillar in enumerate(PILLARS):
+        if missing_policy == "available_mean" and not out[:, k].all():
+            i = np.flatnonzero(out[:, k] == 0)[0]
             raise AggregationError(
-                f"country {rescaled.countries[i]!r} has no observed components in pillar {pillar!r}"
+                f"country {panel.countries[i]!r} has no observed components in pillar {pillar!r}"
             )
-    return FoiScores(epoch=rescaled.epoch, countries=rescaled.countries, index=index)
+    index = {pillar: out[:, len(PILLARS) + k].copy() for k, pillar in enumerate(PILLARS)}
+    return FoiScores(epoch=panel.epoch, countries=panel.countries, index=index)
 
 
 _BLOCK_CELLS = 1 << 18  # cells of the panel aggregated at a time (2 MB)
+
+# A panel is cut into row ranges only when each would hold at least this
+# many cells: on a 2-vCPU Linux VM two ranges lose to one below about 1.1
+# million cells in all, and win by 17% or more from 1.8 million up
+# (BENCH_12.json).
+_SPLIT_MIN_CELLS = 1 << 20
+
+
+def _aggregate(values: np.ndarray, w=None, *, members, rule, missing_policy: str) -> np.ndarray:
+    """Each row's counts and indices, as rows of ``values`` go, a block of
+    countries at a time, so that every temporary stays small. A forked
+    child passes the pipe ``w``, which gets the result as raw floats."""
+    n, p = values.shape
+    out = np.empty((n, 2 * len(members)))
+    rows = max(1, min(n, _BLOCK_CELLS // (p + 1)))
+    columns = np.full((p + 1, rows), np.nan)
+    for i in range(0, n, rows):
+        block = values[i : i + rows]
+        view = columns[:p, : len(block)]
+        view[:] = block.T  # the block's indicators as contiguous rows
+        if rule is not None:
+            rule.apply(view.T, view.T)
+        for k, cols in enumerate(members):
+            out[i : i + rows, k], out[i : i + rows, len(members) + k] = _pillar_means(
+                columns[:, : len(block)][cols], missing_policy
+            )
+    if w is not None:
+        with open(w, "wb") as fh:
+            fh.write(out)
+    return out
 
 
 def _pillar_means(values: np.ndarray, missing_policy: str) -> tuple[np.ndarray, np.ndarray]:

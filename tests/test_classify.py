@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from foi.classify import (
 )
 from foi.errors import CountrySetMismatchError, DomainError
 from foi.pillar import FoiScores
+from foi.reference import verify_reference
 
 
 def scores_from(mapping, epoch=2020):
@@ -60,6 +62,38 @@ def test_out_of_range_rejected():
         classify(0.5, 4.0, 4.0)
     with pytest.raises(DomainError):
         classify(4.0, 4.0, 7.5)
+
+
+_BAD_PARAMETERS = [
+    ({"threshold": math.nan}, "threshold must be a finite number in [1, 7], got nan"),
+    ({"threshold": math.inf}, "threshold must be a finite number in [1, 7], got inf"),
+    ({"threshold": 9.0}, "threshold must be a finite number in [1, 7], got 9.0"),
+    ({"threshold": 0.999}, "threshold must be a finite number in [1, 7], got 0.999"),
+    ({"epsilon": math.nan}, "epsilon must be a finite number >= 0, got nan"),
+    ({"epsilon": -1.0}, "epsilon must be a finite number >= 0, got -1.0"),
+    ({"epsilon": math.inf}, "epsilon must be a finite number >= 0, got inf"),
+]
+
+
+@pytest.mark.parametrize("kwargs, message", _BAD_PARAMETERS)
+def test_threshold_and_epsilon_outside_their_domain_are_rejected(kwargs, message):
+    # the parent put every country in cluster 1 (threshold nan, inf, 9) or
+    # flagged nothing as borderline (epsilon nan, -1)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        classify(4.2, 3.0, 5.0, **kwargs)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        classify_epoch(scores_from({"AAA": (4.2, 3.0, 5.0)}), **kwargs)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        classify_epoch(scores_from({}), **kwargs)  # no country to classify
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        verify_reference(2020, **kwargs)
+
+
+@pytest.mark.parametrize("threshold, epsilon", [(1.0, 0.0), (7.0, 6.0), (4.0, 1e300)])
+def test_threshold_and_epsilon_at_the_ends_of_their_domain_are_taken(threshold, epsilon):
+    a = classify(1.0, 4.0, 7.0, threshold=threshold, epsilon=epsilon)
+    _, cluster_id, _, borderline = classify_loop(1.0, 4.0, 7.0, threshold, epsilon)
+    assert (a.cluster_id, a.borderline) == (cluster_id, borderline)
 
 
 def test_cluster_table_is_total_and_unique():

@@ -386,3 +386,22 @@ def test_export_document_that_is_not_utf8_is_an_input_error(capsys, tmp_path):
     code, out, err = run(capsys, "export", "--in", path)
     assert code == 1 and not out
     assert err.startswith(f"foi export: {path}: not UTF-8 text") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--panel", PANEL_2020),
+    ("shift", "--panel-a", PANEL_2010, "--panel-b", PANEL_2020),
+    ("verify", "--epoch", "2020"),
+])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--threshold", "nan", "threshold must be a finite number in [1, 7], got nan"),
+    ("--threshold", "inf", "threshold must be a finite number in [1, 7], got inf"),
+    ("--threshold", "9", "threshold must be a finite number in [1, 7], got 9.0"),
+    ("--epsilon", "nan", "epsilon must be a finite number >= 0, got nan"),
+    ("--epsilon", "-1", "epsilon must be a finite number >= 0, got -1.0"),
+])
+def test_threshold_or_epsilon_outside_its_domain_is_an_input_error(capsys, argv, flag, value, message):
+    # the parent exited 0: every country in cluster 1, `verify` 8/34, or
+    # nothing flagged as borderline
+    code, out, err = run(capsys, *argv, f"{flag}={value}")
+    assert (code, out, err) == (1, "", f"foi {argv[0]}: {message}\n")

@@ -3,7 +3,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -292,6 +292,52 @@ def test_correlation_and_scores_unchanged_by_column_scales(exponents, missing):
     assert np.abs(correlation_matrix(vm(scaled), missing=missing).values - r_want).max() <= 1e-12
     assert np.array_equal(np.isnan(got.scores), np.isnan(want.scores))
     assert np.nanmax(np.abs(got.scores - want.scores)) <= 1e-12
+
+
+def _affine_rounding_bound(x, y, a):
+    """A bound on how far the Pearson r of the rounded column ``y`` =
+    fl(fl(a·x) + b) can lie from that of x, whose exact image a·x + b has
+    the same r: each cell of y is off by at most half an ulp of a·x plus
+    half an ulp of y, which turns the centred column by an angle of at
+    most the norm of those offsets over a·‖x − mean(x)‖."""
+    offsets = 0.5 * (np.spacing(np.abs(a * x)) + np.spacing(np.abs(y)))
+    spread = a * np.linalg.norm(x - x.mean())
+    return np.linalg.norm(offsets) / spread if spread > 0 else np.inf
+
+
+@settings(max_examples=300)
+@given(
+    holed_grids(), st.integers(0, 4), st.floats(1e-3, 1e3), st.floats(-1.0, 1.0), st.integers(0, 14),
+    st.sampled_from(["pairwise", "listwise"]),
+)
+@example(np.array([[1.0, 2.0], [2.0, 1.0], [4.0, 3.0], [3.0, 7.0]]), 0, 1.0, 1.0, 14, "pairwise")  # b = 3e14
+def test_correlation_under_a_positive_affine_map_stays_within_its_rounding_bound(grid, j, a, t, k, missing):
+    # column j goes through x -> a·x + b with b up to 10^14 times its
+    # range: its r with each other column may move by twice the rounding
+    # bound plus a few ulps of r; every other r stays bit for bit
+    assume(j < grid.shape[1])
+    x = grid[:, j]
+    observed = x[~np.isnan(x)]
+    b = t * 10.0**k * a * max(np.ptp(observed) if observed.size else 0.0, 1.0)
+    moved = grid.copy()
+    moved[:, j] = a * x + b
+    want = _outcome(correlation_matrix, vm(grid), missing)
+    got = _outcome(correlation_matrix, vm(moved), missing)
+    if isinstance(want, str):  # equal values stay equal, and holes stay put
+        assert got == want
+        return
+    kept = ~np.isnan(grid)
+    if missing == "listwise":
+        kept &= kept.all(axis=1)[:, None]
+    bounds = [_affine_rounding_bound(x[kept[:, j] & kept[:, c]], moved[kept[:, j] & kept[:, c], j], a)
+              for c in range(grid.shape[1]) if c != j]
+    # a column the map rounds together can lose its variance
+    assume(all(bound < 1e-3 for bound in bounds))
+    assert not isinstance(got, str), got
+    others = [c for c in range(grid.shape[1]) if c != j]
+    for c, bound in zip(others, bounds):
+        assert abs(got.values[j, c] - want.values[j, c]) <= 2 * bound + 8 * np.finfo(float).eps
+    assert np.array_equal(got.values[np.ix_(others, others)], want.values[np.ix_(others, others)])
 
 
 def test_too_few_complete_pairs():

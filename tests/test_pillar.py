@@ -1,8 +1,12 @@
 import csv
+import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tempfile
+import warnings
 from importlib import resources
 from pathlib import Path
 from unittest import mock
@@ -13,15 +17,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import foi
 from foi.classify import classify_epoch
 from foi.errors import AggregationError, EmptyColumnError
 from foi.manifest import IndicatorManifest, IndicatorSpec, default_manifest
 from foi.panel import IndicatorPanel, load_panel, write_panel
 from foi.pillar import FoiScores, compute_pillar_scores, rank_countries
 from foi.reference import load_fixture
-from foi.rescale import rescale_panel
+from foi.rescale import rescale_panel, rescale_rule
 
 from conftest import make_manifest, make_panel
+
+pillar_module = sys.modules["foi.pillar"]
+SRC = str(Path(foi.__file__).resolve().parents[1])
 
 
 def test_constant_components_give_constant_index():
@@ -363,3 +371,168 @@ def test_a_countrys_component_mean_does_not_depend_on_the_panel_size():
         compute_pillar_scores(make_panel(manifest, [row] * n), manifest).index["F"].tolist() for n in (1, 2)
     )
     assert alone == twice[:1] == twice[1:] == [1.7277672953288632]
+
+
+@st.composite
+def raw_panels(draw):
+    """A manifest with shared components and either direction, and a raw
+    grid over it whose columns may be constant, empty, or far from 1-7,
+    with any pattern of missing cells."""
+    specs = []
+    for pillar in "FOI":
+        for j in range(draw(st.integers(1, 5))):
+            direction = draw(st.sampled_from(["higher_is_better", "lower_is_better"]))
+            specs.append(IndicatorSpec(f"{pillar}{j}", "x", pillar, direction, "t", f"{pillar}g{draw(st.integers(0, 2))}"))
+    manifest = IndicatorManifest(tuple(specs))
+    shape = (draw(st.integers(1, 25)), len(specs))
+    cells = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 2.5, 5e-324, 1e15]))
+    grid = draw(hnp.arrays(float, shape, elements=cells))
+    for j in range(shape[1]):
+        kind = draw(st.sampled_from(["as drawn"] * 4 + ["constant", "empty"]))
+        if kind == "constant":
+            grid[:, j] = grid[0, j]
+        elif kind == "empty":
+            grid[:, j] = np.nan
+    missing_frac = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    grid[draw(hnp.arrays(float, shape, elements=st.floats(0.0, 1.0))) < missing_frac] = np.nan
+    return manifest, make_panel(manifest, grid)
+
+
+def _scores_outcome(run):
+    """What ``run()`` gives, as comparable data: its index bytes, or the
+    type and text of its error; with the number of warnings raised."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            scores = run()
+            outcome = [scores.index[p].tobytes() for p in "FOI"]
+        except (AggregationError, EmptyColumnError) as exc:
+            outcome = [type(exc).__name__, str(exc)]
+    return outcome, len(seen)
+
+
+def rescaled_grid_outcome(manifest, panel, policy):
+    return _scores_outcome(
+        lambda: compute_pillar_scores(rescale_panel(panel, manifest), manifest, missing_policy=policy)
+    )
+
+
+def fused_outcome(manifest, panel, policy):
+    return _scores_outcome(
+        lambda: compute_pillar_scores(panel, manifest, missing_policy=policy, rescale=rescale_rule(panel, manifest))
+    )
+
+
+@settings(max_examples=300)
+@given(raw_panels(), st.sampled_from(["available_mean", "strict"]))
+def test_fused_rescale_equals_aggregating_the_rescaled_grid_bitwise(case, policy):
+    assert fused_outcome(*case, policy) == rescaled_grid_outcome(*case, policy)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="only Linux splits a panel")
+@settings(max_examples=100)
+@given(raw_panels(), st.sampled_from(["available_mean", "strict"]), st.integers(2, 4))
+def test_split_aggregate_equals_aggregating_the_rescaled_grid_bitwise(case, policy, cpus):
+    # the fused aggregate cut into two to four row ranges, so that ranges
+    # hold a row or two, or none, against the unsplit aggregate
+    want = rescaled_grid_outcome(*case, policy)
+    forks = []
+    forked = pillar_module._forked
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(pillar_module, "_SPLIT_MIN_CELLS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(pillar_module, "_forked", lambda works: forks.append(len(list(works))) or forked(works))
+        assert fused_outcome(*case, policy) == want
+    assert forks == ([] if want[0][0] == "EmptyColumnError" else [cpus - 1])
+
+
+# Run in a fresh interpreter (under a timeout, for a deadlock): aggregate
+# a raw 6 000-country panel in three row ranges, each child's result
+# larger than a pipe buffer, under both policies; then print the error of
+# the first, the hash of the indices of the second, the forks made, the
+# ranges aggregated in process, and whether a child process or a
+# descriptor outlived the aggregates.
+_SPLIT_AGGREGATE = """
+import hashlib, json, os, signal, sys, warnings
+import numpy as np
+from foi import panel, pillar
+from foi.errors import AggregationError, DataWarning
+from foi.manifest import default_manifest
+from foi.rescale import rescale_rule
+case = sys.argv[1]
+manifest = default_manifest()
+rng = np.random.default_rng(3)
+grid = rng.normal(size=(6000, len(manifest.ids))) * 100
+grid[rng.random(grid.shape) < 0.05] = np.nan
+grid[:, 0] = 2.5  # a constant column
+grid[5500, [j for j, ind in enumerate(manifest.ids) if manifest.by_id(ind).pillar == "O"]] = np.nan
+raw = panel.IndicatorPanel(2020, [f"C{i:04d}" for i in range(len(grid))], manifest.ids, grid)
+warnings.simplefilter("ignore", DataWarning)
+fds = sorted(os.listdir("/proc/self/fd"))
+os.sched_getaffinity = lambda pid: {0, 1, 2}
+pillar._SPLIT_MIN_CELLS = 1
+forks, fork, aggregate = [], panel._fork, pillar._aggregate
+panel._fork = lambda work, pipes: forks.append(1) or fork(work, pipes)
+in_process = []
+def child(values, w=None, rows=None, **kwargs):  # only a forked child passes w
+    if w is None:
+        in_process.append(1)
+    elif rows is not None:  # write the first rows' result, or none, and fail
+        if rows:
+            aggregate(values[:rows], w, **kwargs)
+        os._exit(3)
+    return aggregate(values, w, **kwargs)
+pillar._aggregate = child
+if case == "unsplit":
+    pillar._SPLIT_MIN_CELLS = 1 << 62
+elif case.startswith("a child fails"):
+    rows = {"before it writes": 0, "after part of its result": 900, "after it writes": 2000}[case[14:]]
+    pillar._aggregate = lambda *args, **kwargs: child(*args, rows=rows, **kwargs)
+elif case == "SIGCHLD ignored":  # the system reaps each child
+    signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+elif case == "a fork fails":  # the second of two, in each aggregate
+    real_fork, fork_calls = os.fork, []
+    def failing_fork():
+        fork_calls.append(1)
+        if len(fork_calls) % 2 == 0:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return real_fork()
+    os.fork = failing_fork
+rule = rescale_rule(raw, manifest)
+try:  # country C5500, in the last range, has no O component
+    pillar.compute_pillar_scores(raw, manifest, rescale=rule)
+except AggregationError as exc:
+    error = str(exc)
+scores = pillar.compute_pillar_scores(raw, manifest, missing_policy="strict", rescale=rule)
+digest = hashlib.sha256(b"".join(scores.index[p].tobytes() for p in "FOI"))
+try:
+    os.waitpid(-1, os.WNOHANG)
+    children = "left"
+except ChildProcessError:
+    children = "none"
+print(json.dumps([error, digest.hexdigest(), len(forks), len(in_process), children, sorted(os.listdir("/proc/self/fd")) == fds]))
+"""
+
+
+def _split_aggregate(case):
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", _SPLIT_AGGREGATE, case],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="only Linux splits a panel")
+@pytest.mark.parametrize("case", [
+    "plain", "a child fails before it writes", "a child fails after part of its result",
+    "a child fails after it writes", "SIGCHLD ignored", "a fork fails",
+])
+def test_split_aggregate_of_a_large_panel_equals_the_unsplit_aggregate(case):
+    error, digest, *rest = _split_aggregate("unsplit")
+    assert error == "country 'C5500' has no observed components in pillar 'O'"
+    assert rest == [0, 2, "none", True]
+    # two forks tried per aggregate; the process aggregates its own range,
+    # and each range whose child or fork failed
+    ranges = {"a child fails before it writes": 3, "a child fails after part of its result": 3, "a fork fails": 2}
+    assert _split_aggregate(case) == [error, digest, 4, 2 * ranges.get(case, 1), "none", True]

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from foi.errors import EmptyColumnError
-from foi.rescale import min_max_rescale, rescale_panel
+from foi.rescale import min_max_rescale, rescale_panel, rescale_rule
 
 from conftest import make_manifest, make_panel
 
@@ -165,3 +165,37 @@ def test_rescale_panel_equals_column_loop_bitwise(data):
         want = rescale_column_loop(grid[:, j], directions[ind])
         assert got[:, j].tobytes() == want.tobytes()
         assert min_max_rescale(grid[:, j], directions[ind]).tobytes() == want.tobytes()
+
+
+_NAN = float("nan")
+
+
+@settings(max_examples=300)
+@given(
+    hnp.arrays(float, st.tuples(st.integers(1, 12), st.just(6)), elements=st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e-310, _NAN]), finite, st.floats(1e15, 1e15 + 8))),
+    st.lists(st.booleans(), min_size=6, max_size=6),
+)
+@example(np.array([[1e308, 0, 0, 0, 0, 0], [-1e308, 1, 1, 1, 1, 1], [0.0, 2, 2, 2, 2, 2]]), [False, True] * 3)  # hi - lo overflows
+@example(np.array([[5e-324, 0, 0, 0, 0, 0], [1e-323, 1, 1, 1, 1, 1], [0.0, 2, 2, 2, 2, 2]]), [False, True] * 3)  # a subnormal span
+@example(np.array([[2.5, 0, 0, 0, 0, 0], [_NAN, 1, 1, 1, 1, 1], [2.5, 2, 2, 2, 2, 2]]), [False, True] * 3)  # constant, with a missing cell
+@example(np.array([[-3.0, 0, 0, 0, 0, 0], [1.0, 1, 1, 1, 1, 1], [9.0, 2, 2, 2, 2, 2]]), [True] * 6)  # lower is better, at both ends
+def test_folded_rule_equals_column_loop_bitwise(grid, lower):
+    # the rule applied in place, to a copy of the grid, row blocks, and the
+    # block transposed (as the aggregate applies it), all against the loop
+    directions = dict(zip(("f0", "f1", "o0", "o1", "i0", "i1"), np.where(lower, "lower_is_better", "higher_is_better")))
+    manifest = make_manifest(directions=directions)
+    panel = make_panel(manifest, grid)
+    if np.isnan(grid).all(axis=0).any():
+        with pytest.raises(EmptyColumnError):
+            rescale_rule(panel, manifest)
+        return
+    rule = rescale_rule(panel, manifest)
+    want = np.column_stack([rescale_column_loop(grid[:, j], directions[ind]) for j, ind in enumerate(panel.indicators)])
+    in_place, blocks, transposed = grid.copy(), np.empty_like(grid), grid.T.copy()
+    rule.apply(in_place, in_place)
+    for i in range(0, len(grid), 5):
+        rule.apply(grid[i : i + 5], blocks[i : i + 5])
+    rule.apply(transposed.T, transposed.T)
+    for got in (rescale_panel(panel, manifest).values, in_place, blocks, transposed.T):
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
