@@ -301,12 +301,6 @@ def pca_extract(r: CorrelationMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]
-    # deterministic eigenvector orientation: first nonzero component positive
-    for j in range(p):
-        col = eigvecs[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size and col[nz[0]] < 0:
-            eigvecs[:, j] = -col
     loadings = eigvecs[:, :k] * np.sqrt(np.clip(eigvals[:k], 0.0, None))
     loadings = loadings * _orient_signs(loadings)
     return loadings, eigvals
@@ -520,7 +514,6 @@ def load_variable_matrix(path) -> VariableMatrix:
     """Read a ``country,<variable ids...>`` CSV with the same checks and
     missing-value rule as ``panel.load_panel``; empty cells are missing."""
     variables, rows, values = _read_grid(path)
-    values.setflags(write=False)  # the matrix takes it without a copy
     return VariableMatrix(rows=tuple(rows), variables=tuple(variables), values=values)
 
 

@@ -88,12 +88,12 @@ class ValidationReport:
 def _read_grid(path, order=None) -> tuple[list[str], list[str], np.ndarray]:
     """Parse a ``country,<column ids...>`` CSV into column ids, row codes
     and a float grid, with the checks listed under ``load_panel``; the
-    one CSV reader of the package. The columns follow ``order`` when it
-    holds every column id. The data lines are parsed as one span, or as
-    several at once in forked children (``_read_spans``), then as one if
-    a child fails. On a reader error, a repeated code or an infinite
-    cell they are parsed again with every row in the slow lane, which
-    raises the first error in file order."""
+    one CSV reader of the package. Given ``order`` (the manifest's ids),
+    the header must hold just those ids, checked before any data line,
+    and the columns follow it. The data lines are parsed as one span, or
+    several at once in forked children (``_read_spans``); if that fails
+    or finds a repeated code or an infinite cell, they are parsed again
+    with every row in the slow lane, which raises the first error."""
     with open(path, "rb") as fh:
         regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
         if not regular:  # a pipe: held, so that it can be read again
@@ -111,21 +111,26 @@ def _read_grid(path, order=None) -> tuple[list[str], list[str], np.ndarray]:
         columns = [h.strip() for h in header[1:]]
         if len(set(columns)) != len(columns):
             raise SchemaError(f"{path}: duplicate columns")
-        place = {col: i for i, col in enumerate(order or ())}
         cols = list(range(len(columns)))  # the file's order, or else ``order``'s
-        if order is not None and all(col in place for col in columns):
+        if order is not None:
+            place = {col: i for i, col in enumerate(order)}
+            if unknown := [col for col in columns if col not in place]:
+                raise SchemaError(f"{path}: unknown indicator column {unknown[0]!r}")
+            if absent := sorted(place.keys() - set(columns), key=place.get):
+                raise SchemaError(f"{path}: no column for manifest indicators {', '.join(absent)}")
             cols.sort(key=lambda j: place[columns[j]])
         usecols = [1 + j for j in cols]
         start = fh.tell()
         bounds = _span_bounds(fh) if regular else []
         try:
-            parsed = _read_spans(path, bounds, columns, usecols) if bounds else None
-            codes, grid = parsed or _parse_span(fh, start, path, columns, usecols)
+            codes, grid = (_read_spans(path, bounds, columns, usecols) if bounds
+                           else _parse_span(fh, start, path, columns, usecols))
             clean = len(set(codes)) == len(codes) and not np.isinf(grid).any()
-        except (FoiError, csv.Error):
+        except (FoiError, csv.Error, EOFError, pickle.UnpicklingError):
             clean = False
         if not clean:
             codes, grid = _parse_span(fh, start, path, columns, usecols, seen=set())
+    grid.setflags(write=False)  # read-only: a panel or matrix takes it without a copy
     return [columns[j] for j in cols], codes, grid
 
 
@@ -291,22 +296,19 @@ def _span_bounds(fh) -> list[int]:
 def _read_spans(path, bounds: list[int], columns: list[str], usecols: list[int]):
     """Parse the spans of ``path`` between consecutive ``bounds`` at once,
     each in a forked child, and gather their codes and one grid in file
-    order; None when a fork fails or a child sends less than it should,
-    as one that meets a reader error does."""
-    spans = zip(bounds, bounds[1:])
+    order. A failed fork, or a child that sends less than it should (as
+    on a reader error), raises ``EOFError`` or ``UnpicklingError``."""
+    spans = list(zip(bounds, bounds[1:]))
     with _forked(functools.partial(_span_child, path, a, b - a, columns, usecols) for a, b in spans) as pipes:
-        try:
-            parts = [pickle.load(pipe) for pipe in pipes]
-        except (EOFError, pickle.UnpicklingError):
-            return None
-        if len(parts) < len(bounds) - 1:
-            return None
+        if len(pipes) < len(spans):
+            raise EOFError(f"forked {len(pipes)} of {len(spans)} span readers")
+        parts = [pickle.load(pipe) for pipe in pipes]
         grid = np.empty((sum(map(len, parts)), len(usecols)))
         row = 0
         for pipe, codes in zip(pipes, parts):
             rows = grid[row : row + len(codes)]
             if pipe.readinto(rows) != rows.nbytes:
-                return None
+                raise EOFError("a span reader sent a short grid")
             row += len(codes)
     return [code for codes in parts for code in codes], grid
 
@@ -388,9 +390,9 @@ def load_panel(panel_csv, manifest: IndicatorManifest, epoch: int = 0) -> Indica
     ------
     SchemaError
         If the file is empty, the first header column is not
-        ``country``, a column repeats or is absent from the manifest, a
-        manifest indicator has no column, or a row has the wrong number
-        of cells.
+        ``country``, a column repeats or is absent from the manifest, or
+        a manifest indicator has no column (all raised before any data
+        line is read); or if a row has the wrong number of cells.
     DuplicateCountryError
         If a country code appears twice.
     PanelParseError
@@ -399,15 +401,6 @@ def load_panel(panel_csv, manifest: IndicatorManifest, epoch: int = 0) -> Indica
         data row and the column name.
     """
     columns, countries, grid = _read_grid(panel_csv, manifest.ids)
-    known = set(manifest.ids)
-    for col in columns:
-        if col not in known:
-            raise SchemaError(f"{panel_csv}: unknown indicator column {col!r}")
-    present = set(columns)
-    absent = [ind for ind in manifest.ids if ind not in present]
-    if absent:
-        raise SchemaError(f"{panel_csv}: no column for manifest indicators {', '.join(absent)}")
-    grid.setflags(write=False)  # the panel takes it without a copy
     return IndicatorPanel(epoch=epoch, countries=tuple(countries), indicators=tuple(columns), values=grid)
 
 

@@ -110,12 +110,12 @@ def _row_json(cluster_id: int, borderline: frozenset) -> str:
 
 
 def render_assignments(assignments: list[ClusterAssignment], fmt: str = "table") -> str:
-    if fmt == "json" and assignments:
+    if fmt == "json":
         # the bytes of render("json", ...), written row by row from templates
         quote = json.encoder.encode_basestring_ascii
         rows = [_row_json(a.cluster_id, a.borderline) % quote(a.country)
                 for a in sorted(assignments, key=attrgetter("country"))]
-        return '{\n "assignments": [\n' + ",\n".join(rows) + "\n ]\n}\n"
+        return '{\n "assignments": [' + ("\n" + ",\n".join(rows) + "\n ]" if rows else "]") + "\n}\n"
     rows = assignments_to_rows(assignments)
 
     def table():

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataWarning, EmptyColumnError
+from .errors import DataWarning, DomainError, EmptyColumnError
 from .manifest import IndicatorManifest
 from .panel import IndicatorPanel
 
@@ -46,12 +46,20 @@ class RescaleRule(NamedTuple):
         out[..., self.constant] = np.where(missing, np.nan, SCALE_MID)
 
 
-def _fold(grid: np.ndarray, lower: np.ndarray) -> RescaleRule:
-    """The rule of each column of ``grid``, reversed where ``lower`` is
-    set; ``lo - hi`` is exactly ``-(hi - lo)``, so the fold keeps the bits."""
+def _fold(grid: np.ndarray, lower: np.ndarray, names) -> RescaleRule:
+    """The rule of each column of ``grid``, named ``names`` in its errors,
+    reversed where ``lower`` is set; ``lo - hi`` is exactly ``-(hi - lo)``,
+    so the fold keeps the bits."""
     lo = np.fmin.reduce(grid, axis=0, initial=np.nan)  # fmin skips nan
     hi = np.fmax.reduce(grid, axis=0, initial=np.nan)
-    return RescaleRule(np.where(lower, hi, lo), np.where(lower, lo - hi, hi - lo), hi == lo)
+    with np.errstate(over="ignore"):
+        rule = RescaleRule(np.where(lower, hi, lo), np.where(lower, lo - hi, hi - lo), hi == lo)
+    for name, sub, div in zip(names, rule.sub, rule.div):
+        if np.isnan(sub):
+            raise EmptyColumnError(f"{name} has no observed values")
+        if np.isinf(div):  # while it is finite, x - sub cannot overflow
+            raise DomainError(f"{name}: the span of its observed values overflows")
+    return rule
 
 
 def min_max_rescale(values, direction: str) -> np.ndarray:
@@ -64,25 +72,22 @@ def min_max_rescale(values, direction: str) -> np.ndarray:
     ------
     EmptyColumnError
         If every value is missing.
+    DomainError
+        If the highest minus the lowest observed value overflows.
     """
     col = np.asarray(values, dtype=float)
-    if np.isnan(col).all():
-        raise EmptyColumnError("column has no observed values")
     out = np.empty_like(col)
-    _fold(col[:, None], np.array([direction == "lower_is_better"])).apply(col[:, None], out[:, None])
+    _fold(col[:, None], np.array([direction == "lower_is_better"]), ["column"]).apply(col[:, None], out[:, None])
     return out
 
 
 def rescale_rule(panel: IndicatorPanel, manifest: IndicatorManifest) -> RescaleRule:
     """The rule that rescales every column of a panel by its manifest
-    direction. The first column with no observed value raises
-    ``EmptyColumnError``; constant columns, mapped to 4.0, are named in
-    one ``DataWarning``."""
+    direction. The first column with no observed value, or whose span
+    overflows, raises ``EmptyColumnError`` or ``DomainError``; constant
+    columns, mapped to 4.0, are named in one ``DataWarning``."""
     lower = [manifest.by_id(ind).direction == "lower_is_better" for ind in panel.indicators]
-    rule = _fold(panel.values, np.array(lower, dtype=bool))
-    for ind, empty in zip(panel.indicators, np.isnan(rule.sub)):
-        if empty:
-            raise EmptyColumnError(f"indicator {ind!r} has no observed values")
+    rule = _fold(panel.values, np.array(lower, dtype=bool), [f"indicator {ind!r}" for ind in panel.indicators])
     if rule.constant.any():
         names = ", ".join(ind for ind, c in zip(panel.indicators, rule.constant) if c)
         warnings.warn(f"constant columns mapped to {SCALE_MID}: {names}", DataWarning, stacklevel=2)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -350,6 +351,22 @@ def test_constant_columns_are_named_in_one_warning(capsys, tmp_path):
         code, out, err = run(capsys, verb, "--panel", str(path))
         assert code == 0 and out
         assert err == f"foi {verb}: warning: constant columns mapped to 4.0: {', '.join(names)}\n"
+
+
+@pytest.mark.parametrize("verb", ["rescale", "indices", "classify", "shift"])
+def test_column_whose_span_overflows_is_an_input_error(capsys, tmp_path, verb):
+    # 1e308 - (-1e308) is inf: read silently, every cell of the column
+    # would rescale to nan or 1.0
+    rows = [line.split(",") for line in Path(PANEL_2020).read_text(encoding="utf-8").splitlines()]
+    rows[1][3], rows[2][3] = "1e308", "-1e308"
+    path = tmp_path / "overflow.csv"
+    path.write_text("".join(",".join(r) + "\n" for r in rows))
+    argv = ["--panel-a", PANEL_2010, "--panel-b", str(path)] if verb == "shift" else ["--panel", str(path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, verb, *argv)
+    assert code == 1 and not out
+    assert err == f"foi {verb}: indicator {rows[0][3]!r}: the span of its observed values overflows\n"
 
 
 def _latin1_in(path, tmp_path, name, after):

@@ -321,6 +321,9 @@ def test_correlation_under_a_positive_affine_map_stays_within_its_rounding_bound
     b = t * 10.0**k * a * max(np.ptp(observed) if observed.size else 0.0, 1.0)
     moved = grid.copy()
     moved[:, j] = a * x + b
+    # a map that rounds distinct values together can take a column's
+    # variance (see the test below)
+    assume(np.unique(a * observed + b).size == np.unique(observed).size)
     want = _outcome(correlation_matrix, vm(grid), missing)
     got = _outcome(correlation_matrix, vm(moved), missing)
     if isinstance(want, str):  # equal values stay equal, and holes stay put
@@ -331,13 +334,26 @@ def test_correlation_under_a_positive_affine_map_stays_within_its_rounding_bound
         kept &= kept.all(axis=1)[:, None]
     bounds = [_affine_rounding_bound(x[kept[:, j] & kept[:, c]], moved[kept[:, j] & kept[:, c], j], a)
               for c in range(grid.shape[1]) if c != j]
-    # a column the map rounds together can lose its variance
     assume(all(bound < 1e-3 for bound in bounds))
     assert not isinstance(got, str), got
     others = [c for c in range(grid.shape[1]) if c != j]
     for c, bound in zip(others, bounds):
         assert abs(got.values[j, c] - want.values[j, c]) <= 2 * bound + 8 * np.finfo(float).eps
     assert np.array_equal(got.values[np.ix_(others, others)], want.values[np.ix_(others, others)])
+
+
+@pytest.mark.parametrize("grid", [
+    np.array([[0.0] * 5, [2.2250738585072014e-309] + [0.0] * 4, [0.0] * 5, [0.0] * 5]),
+    np.array([[0.0], [2.14030148e-95]]),
+])
+def test_column_an_affine_map_rounds_to_one_value_has_zero_variance(grid):
+    # x + 1 rounds the column's variation away: before the map v0 varies
+    # (or v1 is the first constant column), after it v0 is constant
+    moved = grid.copy()
+    moved[:, 0] += 1.0
+    assert np.unique(moved[:, 0]).size == 1 < np.unique(grid[:, 0]).size
+    with pytest.raises(DomainError, match="^variable 'v0' has zero variance$"):
+        correlation_matrix(vm(moved), "pairwise")
 
 
 def test_too_few_complete_pairs():

@@ -427,8 +427,10 @@ def test_split_reader_equals_record_loop(tmp_path_factory, text, cpus, rnd):
 
 
 # Run in a fresh interpreter (under a timeout, for a deadlock): read a
-# file cut into three spans, then print the outcome, the span counts, and
-# whether a child process or a descriptor outlived the read.
+# file cut into three spans, then print the outcome, the span counts,
+# whether each ``_parse_span`` call the parent made had ``seen`` set (a
+# child's calls stay in the child), and whether a child process or a
+# descriptor outlived the read.
 _SPLIT_READ = """
 import hashlib, json, os, signal, sys
 from foi import panel
@@ -438,6 +440,8 @@ panel._SPAN_MIN_BYTES = 1
 os.sched_getaffinity = lambda pid: {0, 1, 2}
 spans, read_spans = [], panel._read_spans
 panel._read_spans = lambda path, bounds, *args: spans.append(len(bounds) - 1) or read_spans(path, bounds, *args)
+parses, parse_span = [], panel._parse_span
+panel._parse_span = lambda *args, **kw: parses.append(kw.get("seen") is not None) or parse_span(*args, **kw)
 span_child = panel._span_child
 if case == "a child fails before it writes":
     panel._span_child = lambda *args: os._exit(3)
@@ -463,24 +467,33 @@ try:
     children = "left"
 except ChildProcessError:
     children = "none"
-print(json.dumps([outcome, spans, children, sorted(os.listdir("/proc/self/fd")) == fds]))
+print(json.dumps([outcome, spans, parses, children, sorted(os.listdir("/proc/self/fd")) == fds]))
 """
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="only Linux splits a file")
-@pytest.mark.parametrize("case", [
-    "plain", "quote in the first span", "inf in the last span", "code repeated across spans",
-    "a child fails before it writes", "a child fails after it writes", "SIGCHLD ignored",
-    "a quote in the last span", "a bad cell in the middle span and a repeated code after it",
-    "a fork fails",
-])
-def test_split_read_of_a_large_file_ends_as_the_record_loop(tmp_path, case):
-    # each span holds far more than a pipe buffer, so a child blocks on
-    # its pipe until the parent reads or closes it
+def _large_lines():
+    """The lines of a 1500 x 300 panel of over 1 MiB: a header of the
+    ids ``v0``..``v299``, then rows ``C0000``..``C1499``."""
     columns = [f"v{j}" for j in range(300)]
     grid = np.random.default_rng(1).integers(100_000, 999_999, size=(1500, 300)) / 1000
     lines = [",".join(["country", *columns])]
-    lines += [",".join([f"C{i:04d}", *map(repr, row)]) for i, row in enumerate(grid.tolist())]
+    return lines + [",".join([f"C{i:04d}", *map(repr, row)]) for i, row in enumerate(grid.tolist())]
+
+
+# the slow-lane parses the parent makes: one when a span fails or the
+# file holds a repeated code or an infinite cell, none otherwise; a child
+# that exits with an error after it sent its whole span has not failed
+@pytest.mark.skipif(sys.platform != "linux", reason="only Linux splits a file")
+@pytest.mark.parametrize("case, parses", [
+    ("plain", []), ("quote in the first span", []), ("inf in the last span", [True]),
+    ("code repeated across spans", [True]), ("a child fails before it writes", [True]),
+    ("a child fails after it writes", []), ("SIGCHLD ignored", []), ("a quote in the last span", []),
+    ("a bad cell in the middle span and a repeated code after it", [True]), ("a fork fails", [True]),
+])
+def test_split_read_of_a_large_file_ends_as_the_record_loop(tmp_path, case, parses):
+    # each span holds far more than a pipe buffer, so a child blocks on
+    # its pipe until the parent reads or closes it
+    lines = _large_lines()
     if case == "quote in the first span":
         lines[3] = lines[3].replace("C0002", '"C0002"')
     elif case == "inf in the last span":
@@ -507,7 +520,37 @@ def test_split_read_of_a_large_file_ends_as_the_record_loop(tmp_path, case):
         env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0 and not proc.stderr, proc.stderr
-    assert json.loads(proc.stdout) == [want, [3], "none", True]
+    assert json.loads(proc.stdout) == [want, [3], parses, "none", True]
+
+
+@pytest.mark.parametrize("case", ["an unknown column", "an absent indicator"])
+def test_header_error_of_a_large_file_comes_before_its_data(tmp_path, monkeypatch, case):
+    # a bad cell in the data too: the header's error is raised, and no
+    # span is forked or parsed
+    lines = _large_lines()
+    manifest = manifest_from_records([
+        {"id": f"v{j}", "name": "x", "pillar": "FOI"[j % 3], "direction": "higher_is_better", "source": "t"}
+        for j in range(300)
+    ])
+    if case == "an unknown column":
+        lines[0] = lines[0].replace(",v7,", ",xyz,")
+        message = "unknown indicator column 'xyz'"
+    else:
+        lines = [line[: line.index(",")] + line[line.index(",", line.index(",") + 1) :] for line in lines]
+        message = "no column for manifest indicators v0"
+    code, _, rest = lines[750].split(",", 2)
+    lines[750] = ",".join([code, "oops", rest])
+    path = tmp_path / "large.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert path.stat().st_size - len(lines[0]) >= 1 << 20
+    _force_split(monkeypatch, 3)
+    calls = []
+    fork, parse_span = panel._fork, panel._parse_span
+    monkeypatch.setattr(panel, "_fork", lambda *args: calls.append("fork") or fork(*args))
+    monkeypatch.setattr(panel, "_parse_span", lambda *args, **kw: calls.append("parse") or parse_span(*args, **kw))
+    with pytest.raises(SchemaError) as exc:
+        load_panel(path, manifest)
+    assert str(exc.value) == f"{path}: {message}" and calls == []
 
 
 def csv_writer_grid(columns, codes, values):

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from foi.errors import EmptyColumnError
+from foi.errors import DomainError, EmptyColumnError
 from foi.rescale import min_max_rescale, rescale_panel, rescale_rule
 
 from conftest import make_manifest, make_panel
@@ -121,6 +123,23 @@ def test_empty_column_error_names_indicator():
         rescale_panel(make_panel(manifest, grid), manifest)
 
 
+@pytest.mark.parametrize("direction", ["higher_is_better", "lower_is_better"])
+def test_column_whose_span_overflows_is_a_domain_error(direction):
+    # the span 1e308 - (-1e308) is inf: the rule would give [nan, 1, 1, 1]
+    with pytest.raises(DomainError, match="^column: the span of its observed values overflows$"):
+        min_max_rescale([1e308, -1e308, 0.0, 5e307], direction)
+    manifest = make_manifest(directions=dict.fromkeys(("f0", "f1", "o0", "o1", "i0", "i1"), direction))
+    grid = np.ones((4, 6))
+    grid[:, 3] = [1e308, -1e308, 0.0, np.nan]
+    with pytest.raises(DomainError, match="^indicator 'o1': the span of its observed values overflows$"):
+        rescale_panel(make_panel(manifest, grid), manifest)
+    # a span just under the largest float still rescales
+    assert min_max_rescale([1e308, -7.9e307, 0.0], direction).tolist() == (
+        [7.0, 1.0, 1.0 + 6.0 * (7.9e307 / (1e308 + 7.9e307))] if direction == "higher_is_better"
+        else [1.0, 7.0, 1.0 + 6.0 * (1e308 / (1e308 + 7.9e307))]
+    )
+
+
 def rescale_column_loop(values, direction):
     """The one-column-at-a-time rescale ``rescale_panel`` replaced: the
     oracle of its bits."""
@@ -173,10 +192,12 @@ _NAN = float("nan")
 @settings(max_examples=300)
 @given(
     hnp.arrays(float, st.tuples(st.integers(1, 12), st.just(6)), elements=st.one_of(
-        st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e-310, _NAN]), finite, st.floats(1e15, 1e15 + 8))),
+        st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e-310, 1e308, -1e308, _NAN]), finite,
+        st.floats(1e15, 1e15 + 8))),
     st.lists(st.booleans(), min_size=6, max_size=6),
 )
-@example(np.array([[1e308, 0, 0, 0, 0, 0], [-1e308, 1, 1, 1, 1, 1], [0.0, 2, 2, 2, 2, 2]]), [False, True] * 3)  # hi - lo overflows
+@example(np.array([[1e308, 0, 0, 0, 0, 0], [-1e308, 1, 1, 1, 1, 1], [0.0, 2, 2, 2, 2, 2]]), [False, True] * 3)  # hi - lo overflows: an error
+@example(np.array([[1e308, 0, 0, 0, 0, 0], [_NAN, 1, 1, 1, 1, 1], [0.0, 2, 2, 2, 2, 2]]), [True] * 6)  # a span of 1e308
 @example(np.array([[5e-324, 0, 0, 0, 0, 0], [1e-323, 1, 1, 1, 1, 1], [0.0, 2, 2, 2, 2, 2]]), [False, True] * 3)  # a subnormal span
 @example(np.array([[2.5, 0, 0, 0, 0, 0], [_NAN, 1, 1, 1, 1, 1], [2.5, 2, 2, 2, 2, 2]]), [False, True] * 3)  # constant, with a missing cell
 @example(np.array([[-3.0, 0, 0, 0, 0, 0], [1.0, 1, 1, 1, 1, 1], [9.0, 2, 2, 2, 2, 2]]), [True] * 6)  # lower is better, at both ends
@@ -186,10 +207,12 @@ def test_folded_rule_equals_column_loop_bitwise(grid, lower):
     directions = dict(zip(("f0", "f1", "o0", "o1", "i0", "i1"), np.where(lower, "lower_is_better", "higher_is_better")))
     manifest = make_manifest(directions=directions)
     panel = make_panel(manifest, grid)
-    if np.isnan(grid).all(axis=0).any():
-        with pytest.raises(EmptyColumnError):
-            rescale_rule(panel, manifest)
-        return
+    for j, ind in enumerate(panel.indicators):  # the first column with no observed value or an infinite span
+        observed = grid[~np.isnan(grid[:, j]), j].tolist()
+        if not observed or not math.isfinite(max(observed) - min(observed)):
+            with pytest.raises(DomainError if observed else EmptyColumnError, match=f"^indicator '{ind}'"):
+                rescale_rule(panel, manifest)
+            return
     rule = rescale_rule(panel, manifest)
     want = np.column_stack([rescale_column_loop(grid[:, j], directions[ind]) for j, ind in enumerate(panel.indicators)])
     in_place, blocks, transposed = grid.copy(), np.empty_like(grid), grid.T.copy()
