@@ -7,6 +7,11 @@ a from-scratch exploratory factor analysis (PCA extraction, varimax
 rotation, KMO, sphericity test, regression factor scores).
 """
 
+import os
+
+# before numpy loads: foi's matrices are too small for a BLAS pool; one thread gives the same bytes on any CPU count
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .classify import (
     CLUSTER_LABELS,
     CLUSTER_LEVELS,

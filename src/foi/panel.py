@@ -242,7 +242,7 @@ def _record(path, row: int, rec: list[str], columns: list[str], seen) -> tuple[s
             raise DuplicateCountryError(f"{path}: duplicate country row {code!r}")
         seen.add(code)
     if len(rec) != len(columns) + 1:
-        raise SchemaError(f"{path}: row {row} ({code}) has {len(rec) - 1} cells, expected {len(columns)}")
+        raise SchemaError(f"{path}: row {row} ({code!r}) has {len(rec) - 1} cells, expected {len(columns)}")
     cells = [c.strip() or "nan" for c in rec[1:]]
     try:
         values = np.array(cells, dtype=float)
@@ -256,7 +256,7 @@ def _record(path, row: int, rec: list[str], columns: list[str], seen) -> tuple[s
         bad = [bad]
     if len(bad):
         col, cell = columns[bad[0]], cells[bad[0]]
-        message = f"{path}: row {row} ({code}), column {col!r}: cannot parse {cell!r} as a finite number"
+        message = f"{path}: row {row} ({code!r}), column {col!r}: cannot parse {cell!r} as a finite number"
         raise PanelParseError(message, row=row, column=col)
     return code, values
 
@@ -355,8 +355,9 @@ def _fork(work, pipes):
     pipe; return its pid and the pipe's binary read end, or raise
     ``OSError``. The child closes its elder siblings' read ends ``pipes``
     and leaves by ``os._exit``: 0 when ``work`` returns, 1 when it
-    raises. The works given import nothing and do no BLAS work, so
-    forking a process that runs BLAS threads is safe."""
+    raises. A ``foi`` process forks with no BLAS threads; a caller that
+    imported numpy before ``foi`` may still run them, which is safe too,
+    as the works given import nothing and do no BLAS work."""
     r, w = os.pipe()
     try:
         with warnings.catch_warnings():

@@ -41,7 +41,7 @@ def _read_records(path) -> tuple[list[str], list[str], np.ndarray]:
                 raise DuplicateCountryError(f"{path}: duplicate country row {code!r}")
             if len(rec) != len(columns) + 1:
                 raise SchemaError(
-                    f"{path}: row {lineno} ({code}) has {len(rec) - 1} cells, expected {len(columns)}"
+                    f"{path}: row {lineno} ({code!r}) has {len(rec) - 1} cells, expected {len(columns)}"
                 )
             cells = [c.strip() or "nan" for c in rec[1:]]
             try:
@@ -52,7 +52,7 @@ def _read_records(path) -> tuple[list[str], list[str], np.ndarray]:
             if len(bad):
                 col, cell = columns[bad[0]], cells[bad[0]]
                 raise PanelParseError(
-                    f"{path}: row {lineno} ({code}), column {col!r}: "
+                    f"{path}: row {lineno} ({code!r}), column {col!r}: "
                     f"cannot parse {cell!r} as a finite number",
                     row=lineno,
                     column=col,

@@ -321,6 +321,41 @@ def test_factors_loads_no_scipy_when_the_p_value_underflows(tmp_path, missing):
     assert _scipy_modules_after(code) == "[]"
 
 
+def _threads_after_import_foi(**env):
+    """The BLAS thread setting and the thread count of a fresh
+    interpreter once it has imported ``foi``, under ``env``."""
+    env = dict({k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}, PYTHONPATH=SRC, **env)
+    code = "import os, foi; print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's /proc")
+
+
+@needs_proc
+def test_import_foi_starts_no_blas_thread():
+    assert _threads_after_import_foi() == ["1", "1"]
+
+
+@needs_proc
+def test_import_foi_keeps_a_blas_thread_count_the_caller_set():
+    assert _threads_after_import_foi(OPENBLAS_NUM_THREADS="2")[0] == "2"
+
+
+@pytest.mark.parametrize("record", ['"Y\nZ,3",4', '"Y\nZ",x,4'], ids=["cell_count", "parse"])
+def test_reader_error_on_a_code_with_a_line_feed_is_one_line(capsys, tmp_path, record):
+    manifest = tmp_path / "manifest.json"
+    specs = [{"id": i, "name": i, "pillar": "F", "direction": "higher_is_better", "source": "t"} for i in "ab"]
+    manifest.write_text(json.dumps(specs))
+    panel = tmp_path / "panel.csv"
+    panel.write_text(f"country,a,b\nX,1,2\n{record}\n")
+    code, out, err = run(capsys, "ingest", "--panel", str(panel), "--manifest", str(manifest))
+    assert code == 1 and not out
+    assert err.count("\n") == 1 and "row 2 ('Y\\nZ" in err
+
+
 def _demo_without(tmp_path, column):
     """demo_panel_2020.csv without one indicator column."""
     rows = [line.split(",") for line in Path(PANEL_2020).read_text(encoding="utf-8").splitlines()]

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import foi
 from foi.errors import (
     DomainError,
     DuplicateCountryError,
@@ -37,6 +42,7 @@ from foi.factor import (
 )
 
 FA_PANEL = resources.files("foi.data") / "demo_fa_panel.csv"
+SRC = str(Path(foi.__file__).resolve().parents[1])
 
 
 def vm(values, rows=None, variables=None):
@@ -961,3 +967,24 @@ def test_variable_matrix_infinite_cell_names_row_and_column(tmp_path):
     with pytest.raises(PanelParseError) as exc:
         load_variable_matrix(path)
     assert (exc.value.row, exc.value.column) == (2, "a")
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs Linux and at least two usable CPUs",
+)
+def test_factors_output_does_not_depend_on_the_cpu_count(tmp_path):
+    data, _ = synthesize_known_factors(p=60, k=5, n=400, seed=7)
+    path = tmp_path / "wide.csv"
+    rows = (",".join([code, *map(repr, row)]) for code, row in zip(data.rows, data.values.tolist()))
+    path.write_text("\n".join([",".join(["country", *data.variables]), *rows]) + "\n")
+    env = dict({k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}, PYTHONPATH=SRC)
+    argv = [sys.executable, "-m", "foi.cli", "factors", "--panel", str(path), "--factors-k", "5", "--out", "-"]
+    cpu = min(os.sched_getaffinity(0))
+
+    def factors(**kwargs):
+        proc = subprocess.run(argv, env=env, capture_output=True, **kwargs)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    assert factors(preexec_fn=lambda: os.sched_setaffinity(0, {cpu})) == factors()
