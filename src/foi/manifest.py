@@ -104,22 +104,21 @@ class IndicatorManifest:
 
 
 def manifest_from_records(records) -> IndicatorManifest:
-    """Build a manifest from an iterable of plain dicts."""
+    """Build a manifest from an iterable of plain dicts, each with string
+    ``id``, ``name``, ``pillar``, ``direction`` and ``source`` and an
+    optional string ``component``."""
     specs = []
-    for rec in records:
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise SchemaError(f"manifest record {i} is not an object")
         try:
-            specs.append(
-                IndicatorSpec(
-                    id=rec["id"],
-                    name=rec["name"],
-                    pillar=rec["pillar"],
-                    direction=rec["direction"],
-                    source=rec["source"],
-                    component=rec.get("component", ""),
-                )
-            )
+            fields = {key: rec[key] for key in ("id", "name", "pillar", "direction", "source")}
         except KeyError as exc:
-            raise SchemaError(f"manifest record missing key {exc}") from exc
+            raise SchemaError(f"manifest record {i} missing key {exc}") from exc
+        fields["component"] = rec.get("component", "")
+        if bad := [key for key, value in fields.items() if not isinstance(value, str)]:
+            raise SchemaError(f"manifest record {i}: {bad[0]!r} must be a string, got {fields[bad[0]]!r}")
+        specs.append(IndicatorSpec(**fields))
     return IndicatorManifest(tuple(specs))
 
 

@@ -380,6 +380,41 @@ def _fork(work, pipes):
     return pid, open(r, "rb")
 
 
+def _in_blocks(values: np.ndarray, min_cells: int, work, dump, load):
+    """Yield ``work(block)`` for each of the contiguous row slices that
+    cut the grid ``values`` into one block per usable CPU, when each would
+    hold at least ``min_cells`` cells, in row order.
+
+    The process works the first block while a forked child works each
+    other one and sends ``dump`` of its result, as bytes, for the process
+    to yield ``load`` of them. The process works a block itself when its
+    fork failed or its child sent less than a whole frame (``_send``), as
+    a child that fails or dies does, so the results never depend on the
+    split. The children are waited on when the generator ends or is
+    closed."""
+    rows, parts = len(values), max(1, min(_usable_cpus(), values.size // min_cells))
+    blocks = [slice(rows * i // parts, rows * (i + 1) // parts) for i in range(parts)]
+    with _forked(functools.partial(_send, work, dump, block) for block in blocks[1:]) as pipes:
+        yield work(blocks[0])
+        for i, block in enumerate(blocks[1:]):
+            frame = pipes[i].read() if i < len(pipes) else b""
+            # whole when the first 8 bytes give the length of the rest,
+            # which no prefix of a frame does (under 8 bytes, the rest's
+            # length is negative)
+            whole = int.from_bytes(frame[:8], "little") == len(frame) - 8
+            yield load(memoryview(frame)[8:]) if whole else work(block)
+
+
+def _send(work, dump, block: slice, w: int) -> None:
+    """A forked child's work: ``dump(work(block))``, bytes, written to the
+    pipe ``w`` as one frame, their length in 8 bytes and then the bytes;
+    all at once, not piece by piece, which would stall on the full pipe
+    while the parent is still on earlier blocks."""
+    data = dump(work(block))
+    with open(w, "wb") as out:
+        out.writelines((len(data).to_bytes(8, "little"), data))
+
+
 def load_panel(panel_csv, manifest: IndicatorManifest, epoch: int = 0) -> IndicatorPanel:
     """Read a ``country,<indicator ids...>`` CSV into a panel.
 
@@ -424,27 +459,14 @@ _WRITE_MIN_CELLS = 1 << 16
 def _write_grid(fh, columns, codes, values: np.ndarray) -> None:
     """Write a ``country,<column ids...>`` CSV grid to the text stream
     ``fh``: floats as ``repr``, ``nan`` as an empty cell, ``\\n`` line
-    endings, byte for byte as ``csv.writer`` writes it.
-
-    The rows are cut into one contiguous block per usable CPU when each
-    holds at least ``_WRITE_MIN_CELLS`` cells. The parent formats the
-    first into ``fh`` while a forked child formats each other one; the
-    parent then writes each child's block in row order, or formats it
-    itself when the fork failed or the child sent less than the whole
-    block, so the bytes never depend on the split."""
+    endings, byte for byte as ``csv.writer`` writes it. The rows are
+    cut by ``_in_blocks`` into blocks of at least ``_WRITE_MIN_CELLS``
+    cells: the first streams into ``fh``, forked children format the
+    others."""
     csv.writer(fh, lineterminator="\n").writerow(["country", *columns])
-    n = max(1, min(_usable_cpus(), values.size // _WRITE_MIN_CELLS))
-    blocks = [slice(len(codes) * i // n, len(codes) * (i + 1) // n) for i in range(n)]
-    with _forked(functools.partial(_block_child, codes[rows], values[rows]) for rows in blocks[1:]) as pipes:
-        fh.writelines(_grid_lines(codes[blocks[0]], values[blocks[0]]))
-        for i, rows in enumerate(blocks[1:]):
-            text = pipes[i].read() if i < len(pipes) else b""
-            # a whole block holds a line feed per row and per line feed in
-            # its codes; a child that failed or died sent only a prefix of it
-            if text.count(b"\n") == len(codes[rows]) + "".join(codes[rows]).count("\n"):
-                fh.write(text.decode())
-            else:
-                fh.writelines(_grid_lines(codes[rows], values[rows]))
+    for lines in _in_blocks(values, _WRITE_MIN_CELLS, lambda rows: _grid_lines(codes[rows], values[rows]),
+                            lambda lines: "".join(lines).encode(), lambda data: (str(data, "utf-8"),)):
+        fh.writelines(lines)
 
 
 def _grid_lines(codes, values: np.ndarray):
@@ -454,15 +476,6 @@ def _grid_lines(codes, values: np.ndarray):
     for code, row in zip(codes, values.tolist()):
         cells = ["" if v != v else repr(v) for v in row]  # v != v: nan
         yield (",".join([code if code.isalnum() else _csv_field(code), *cells]) or '""') + "\n"
-
-
-def _block_child(codes, values: np.ndarray, w: int) -> None:
-    """A forked child's work: the lines of ``_grid_lines`` as one UTF-8
-    byte string, written to the pipe ``w`` at once, not row by row,
-    which would stall on the full pipe while the parent is still on
-    earlier blocks."""
-    with open(w, "wb") as out:
-        out.write("".join(_grid_lines(codes, values)).encode())
 
 
 def _csv_field(text: str) -> str:

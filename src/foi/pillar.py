@@ -9,13 +9,13 @@ series still counts once in the pillar mean.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
 from .errors import AggregationError, DomainError
 from .manifest import PILLARS, IndicatorManifest
-from .panel import IndicatorPanel, _forked, _usable_cpus
+from .panel import IndicatorPanel, _in_blocks
 
 MISSING_POLICIES = ("available_mean", "strict")
 
@@ -63,14 +63,12 @@ def compute_pillar_scores(
     component in some pillar is an error. Under ``strict`` any missing
     component makes the pillar index missing (``nan``).
 
-    The rows are cut into one range per usable CPU when each holds at
-    least ``_SPLIT_MIN_CELLS`` cells. The process aggregates the first
-    while a forked child aggregates each other one, or the process does,
-    when the fork failed or the child sent less than its whole result.
+    The rows are aggregated in blocks of at least ``_SPLIT_MIN_CELLS``
+    cells, split over the CPUs by ``_in_blocks``.
     """
     if missing_policy not in MISSING_POLICIES:
         raise DomainError(f"missing_policy must be one of {MISSING_POLICIES}, got {missing_policy!r}")
-    n, p = panel.values.shape
+    p = panel.values.shape[1]
     col_of = {ind: j for j, ind in enumerate(panel.indicators)}
     # per pillar, the panel columns of each component's members as an
     # (m, components) array, padded with column p, which is all nan
@@ -82,16 +80,11 @@ def compute_pillar_scores(
         cols = [[col_of[m] for m in ids] for _, ids in components]
         width = max(map(len, cols))
         members.append(np.array([c + [p] * (width - len(c)) for c in cols], dtype=np.intp).T)
-    work = partial(_aggregate, members=members, rule=rescale, missing_policy=missing_policy)
-    parts = max(1, min(_usable_cpus(), panel.values.size // _SPLIT_MIN_CELLS))
-    ranges = [slice(n * i // parts, n * (i + 1) // parts) for i in range(parts)]
     # per country: its F, O and I counts of observed components, then indices
-    out = np.empty((n, 2 * len(PILLARS)))
-    with _forked(partial(work, panel.values[rows]) for rows in ranges[1:]) as pipes:
-        out[ranges[0]] = work(panel.values[ranges[0]])
-        for i, rows in enumerate(ranges[1:]):
-            if i >= len(pipes) or pipes[i].readinto(out[rows]) != out[rows].nbytes:
-                out[rows] = work(panel.values[rows])
+    out = np.concatenate(list(_in_blocks(
+        panel.values, _SPLIT_MIN_CELLS,
+        lambda rows: _aggregate(panel.values[rows], members=members, rule=rescale, missing_policy=missing_policy),
+        np.ndarray.tobytes, lambda data: np.frombuffer(data).reshape(-1, 2 * len(PILLARS)))))
     for k, pillar in enumerate(PILLARS):
         if missing_policy == "available_mean" and not out[:, k].all():
             i = np.flatnonzero(out[:, k] == 0)[0]
@@ -111,10 +104,9 @@ _BLOCK_CELLS = 1 << 18  # cells of the panel aggregated at a time (2 MB)
 _SPLIT_MIN_CELLS = 1 << 20
 
 
-def _aggregate(values: np.ndarray, w=None, *, members, rule, missing_policy: str) -> np.ndarray:
+def _aggregate(values: np.ndarray, *, members, rule, missing_policy: str) -> np.ndarray:
     """Each row's counts and indices, as rows of ``values`` go, a block of
-    countries at a time, so that every temporary stays small. A forked
-    child passes the pipe ``w``, which gets the result as raw floats."""
+    countries at a time, so that every temporary stays small."""
     n, p = values.shape
     out = np.empty((n, 2 * len(members)))
     rows = max(1, min(n, _BLOCK_CELLS // (p + 1)))
@@ -129,9 +121,6 @@ def _aggregate(values: np.ndarray, w=None, *, members, rule, missing_policy: str
             out[i : i + rows, k], out[i : i + rows, len(members) + k] = _pillar_means(
                 columns[:, : len(block)][cols], missing_policy
             )
-    if w is not None:
-        with open(w, "wb") as fh:
-            fh.write(out)
     return out
 
 

@@ -1,21 +1,29 @@
+import contextlib
+import csv
 import functools
+import importlib.util
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import foi
 from foi import factor, pillar
 from foi.cli import main
-from foi.manifest import default_manifest
+from foi.manifest import DIRECTIONS, default_manifest
 from foi.panel import load_panel
 from foi.rescale import rescale_panel
 
@@ -23,6 +31,14 @@ DATA = resources.files("foi.data")
 PANEL_2010 = str(DATA / "demo_panel_2010.csv")
 PANEL_2020 = str(DATA / "demo_panel_2020.csv")
 FA_PANEL = str(DATA / "demo_fa_panel.csv")
+
+# the benchmark's oracle, written without foi, as an independent check of
+# the verbs' outputs
+_ORACLE_SPEC = importlib.util.spec_from_file_location(
+    "perfbench_oracle", Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+)
+oracle = sys.modules["perfbench_oracle"] = importlib.util.module_from_spec(_ORACLE_SPEC)
+_ORACLE_SPEC.loader.exec_module(oracle)
 
 
 def run(capsys, *argv):
@@ -431,6 +447,27 @@ def test_manifest_that_is_not_utf8_is_an_input_error(capsys, tmp_path):
     assert err.startswith(f"foi classify: {path}: not UTF-8 text") and err.count("\n") == 1
 
 
+def _default_records_with(index, key, value):
+    records = json.loads((DATA / "manifest_default.json").read_text(encoding="utf-8"))
+    records[index][key] = value
+    return records
+
+
+@pytest.mark.parametrize("records, message", [
+    ([1], "manifest record 0 is not an object"),
+    (_default_records_with(3, "component", ["x"]), "manifest record 3: 'component' must be a string, got ['x']"),
+    (_default_records_with(5, "id", ["x"]), "manifest record 5: 'id' must be a string, got ['x']"),
+    (_default_records_with(7, "id", 7), "manifest record 7: 'id' must be a string, got 7"),
+])
+def test_manifest_record_of_the_wrong_type_is_an_input_error(capsys, tmp_path, records, message):
+    # the parent ended in a TypeError traceback, or for an integer id
+    # named an "unknown indicator column"
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(records))
+    code, out, err = run(capsys, "classify", "--panel", PANEL_2020, "--manifest", str(path))
+    assert (code, out, err) == (1, "", f"foi classify: {message}\n")
+
+
 def test_export_document_that_is_not_utf8_is_an_input_error(capsys, tmp_path):
     doc = tmp_path / "scores.json"
     assert run(capsys, "classify", "--panel", PANEL_2020, "--format", "json", "--out", str(doc))[0] == 0
@@ -457,3 +494,70 @@ def test_threshold_or_epsilon_outside_its_domain_is_an_input_error(capsys, argv,
     # nothing flagged as borderline
     code, out, err = run(capsys, *argv, f"{flag}={value}")
     assert (code, out, err) == (1, "", f"foi {argv[0]}: {message}\n")
+
+
+@st.composite
+def pipeline_inputs(draw):
+    """A manifest's records, and a panel's codes, file columns and cells:
+    three to six indicators, each pillar held by at least one, some
+    `lower_is_better`, some sharing a component; two to eight codes, some
+    quoted (a comma, a quote) or not ASCII, and one in ten panels with a
+    code repeated; cells in eighths, exact in binary, about one in 16
+    missing, and up to two constant columns."""
+    p = draw(st.integers(3, 6))
+    pillars = ["F", "O", "I", *draw(st.lists(st.sampled_from("FOI"), min_size=p - 3, max_size=p - 3))]
+    records = [
+        {"id": f"x{j}", "name": f"x{j}", "pillar": pillar, "direction": draw(st.sampled_from(DIRECTIONS)),
+         "source": "test", "component": draw(st.sampled_from(["", "c0", "c1"]))}
+        for j, pillar in enumerate(pillars)
+    ]
+    codes = draw(st.lists(st.text('AB,"\u00e9', min_size=1, max_size=3), min_size=2, max_size=8, unique=True))
+    if draw(st.integers(0, 9)) == 0:
+        codes.append(draw(st.sampled_from(codes)))
+    cells = st.tuples(st.integers(0, 15), st.integers(-2000, 2000)).map(lambda c: math.nan if c[0] == 0 else c[1] / 8)
+    values = draw(hnp.arrays(float, (len(codes), p), elements=cells))
+    for j in draw(st.sets(st.integers(0, p - 1), max_size=2)):
+        values[:, j] = np.where(np.isnan(values[:, j]), math.nan, 2.5)
+    order = draw(st.permutations(range(p)))
+    return records, codes, [records[j]["id"] for j in order], values[:, order]
+
+
+def _main_in_process(*argv):
+    """``main(argv)``'s exit status, stdout and stderr lines."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(list(argv))
+    return status, out.getvalue(), err.getvalue().splitlines()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="only Linux splits the writer and the aggregate")
+@settings(max_examples=120)
+@given(pipeline_inputs(), st.integers(2, 3))
+def test_rescale_and_classify_give_the_oracle_answer_or_one_error_line(inputs, cpus):
+    # both block maps split, the writer's and the aggregate's, so that
+    # blocks hold a row or two, or none
+    records, codes, columns, values = inputs
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(sys.modules["foi.panel"], "_WRITE_MIN_CELLS", 1)
+        monkeypatch.setattr(pillar, "_SPLIT_MIN_CELLS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        manifest, panel = os.path.join(tmp, "manifest.json"), os.path.join(tmp, "panel.csv")
+        with open(manifest, "w", encoding="utf-8") as fh:
+            json.dump(records, fh)
+        with open(panel, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["country", *columns])
+            writer.writerows([code, *("" if math.isnan(v) else repr(v) for v in row)] for code, row in zip(codes, values.tolist()))
+        for verb, extra, check in (
+            ("rescale", ("--out", "-"), oracle.check_rescaled_csv),
+            ("classify", ("--format", "json"), oracle.check_classify_json),
+        ):
+            status, out, err = _main_in_process(verb, "--panel", panel, "--manifest", manifest, *extra)
+            # a DataWarning (constant columns) is a line of its own
+            errors = [line for line in err if not line.startswith(f"foi {verb}: warning: ")]
+            if status == 0:
+                assert not errors, err
+                check(out, oracle.PanelTruth.build(records, codes, columns, values))
+            else:
+                assert status in (1, 2) and not out, (status, err)
+                assert len(errors) == 1 and errors[0] == err[-1] and errors[0].startswith(f"foi {verb}: "), err

@@ -618,6 +618,8 @@ def test_split_grid_writer_equals_csv_writer(grid, cpus):
 # size is written in three blocks (or, for "unsplit", in one); then write
 # to the file REPORT the number of forks, whether a child process
 # outlived the write, and whether a descriptor did, and exit as `foi`.
+# A failing child sends the first bytes of the frame of `panel._send`,
+# its 8-byte length and then its block's bytes, and exits 3.
 _SPLIT_WRITE = """
 import json, os, signal, sys
 from foi import panel
@@ -625,14 +627,24 @@ from foi.cli import main
 case, report, *argv = sys.argv[1:]
 fds = sorted(os.listdir("/proc/self/fd"))
 os.sched_getaffinity = lambda pid: {0, 1, 2}
-forks, fork, block_child = [], panel._fork, panel._block_child
+forks, fork = [], panel._fork
 panel._fork = lambda work, pipes: forks.append(1) or fork(work, pipes)
+def send_and_fail(work, dump, block, w, keep):  # keep: the bytes of the block sent
+    data = dump(work(block))
+    with open(w, "wb") as out:
+        out.write((len(data).to_bytes(8, "little") + data)[: 8 + keep(data)])
+    os._exit(3)
+keep = {
+    "a child fails after part of its block": lambda data: sum(map(len, data.splitlines(True)[:9])),
+    "a child dies mid-frame": lambda data: len(data) // 2,
+    "a child fails after it writes": len,
+}
 if case == "unsplit":
     panel._WRITE_MIN_CELLS = 1 << 62
 elif case == "a child fails before it writes":
-    panel._block_child = lambda *args: os._exit(3)
-elif case == "a child fails after part of its block":
-    panel._block_child = lambda codes, values, w: block_child(codes[:9], values[:9], w) or os._exit(3)
+    panel._send = lambda *args: os._exit(3)
+elif case in keep:
+    panel._send = lambda *args: send_and_fail(*args, keep[case])
 elif case == "SIGCHLD ignored":  # the system reaps each child
     signal.signal(signal.SIGCHLD, signal.SIG_IGN)
 elif case == "a fork fails":  # the second of two
@@ -693,8 +705,8 @@ def _finish(proc, report, forks):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="only Linux splits a grid")
 @pytest.mark.parametrize("case", [
-    "plain", "a child fails before it writes", "a child fails after part of its block", "SIGCHLD ignored",
-    "a fork fails",
+    "plain", "a child fails before it writes", "a child fails after part of its block",
+    "a child fails after it writes", "a child dies mid-frame", "SIGCHLD ignored", "a fork fails",
 ])
 def test_split_write_of_a_large_panel_equals_the_unsplit_writer(tmp_path, case):
     _split_write_panel(tmp_path)

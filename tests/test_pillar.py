@@ -28,6 +28,7 @@ from foi.rescale import rescale_panel, rescale_rule
 
 from conftest import make_manifest, make_panel
 
+panel_module = sys.modules["foi.panel"]
 pillar_module = sys.modules["foi.pillar"]
 SRC = str(Path(foi.__file__).resolve().parents[1])
 
@@ -437,11 +438,11 @@ def test_split_aggregate_equals_aggregating_the_rescaled_grid_bitwise(case, poli
     # hold a row or two, or none, against the unsplit aggregate
     want = rescaled_grid_outcome(*case, policy)
     forks = []
-    forked = pillar_module._forked
+    forked = panel_module._forked
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(pillar_module, "_SPLIT_MIN_CELLS", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setattr(pillar_module, "_forked", lambda works: forks.append(len(list(works))) or forked(works))
+        monkeypatch.setattr(panel_module, "_forked", lambda works: forks.append(len(works := list(works))) or forked(works))
         assert fused_outcome(*case, policy) == want
     assert forks == ([] if want[0][0] == "EmptyColumnError" else [cpus - 1])
 
@@ -451,7 +452,9 @@ def test_split_aggregate_equals_aggregating_the_rescaled_grid_bitwise(case, poli
 # larger than a pipe buffer, under both policies; then print the error of
 # the first, the hash of the indices of the second, the forks made, the
 # ranges aggregated in process, and whether a child process or a
-# descriptor outlived the aggregates.
+# descriptor outlived the aggregates. A failing child sends the first
+# bytes of the frame of `panel._send`, its 8-byte length and then its
+# result's bytes, and exits 3.
 _SPLIT_AGGREGATE = """
 import hashlib, json, os, signal, sys, warnings
 import numpy as np
@@ -471,23 +474,30 @@ warnings.simplefilter("ignore", DataWarning)
 fds = sorted(os.listdir("/proc/self/fd"))
 os.sched_getaffinity = lambda pid: {0, 1, 2}
 pillar._SPLIT_MIN_CELLS = 1
-forks, fork, aggregate = [], panel._fork, pillar._aggregate
+forks, fork, aggregate, parent = [], panel._fork, pillar._aggregate, os.getpid()
 panel._fork = lambda work, pipes: forks.append(1) or fork(work, pipes)
 in_process = []
-def child(values, w=None, rows=None, **kwargs):  # only a forked child passes w
-    if w is None:
+def counted(values, **kwargs):
+    if os.getpid() == parent:
         in_process.append(1)
-    elif rows is not None:  # write the first rows' result, or none, and fail
-        if rows:
-            aggregate(values[:rows], w, **kwargs)
-        os._exit(3)
-    return aggregate(values, w, **kwargs)
-pillar._aggregate = child
+    return aggregate(values, **kwargs)
+pillar._aggregate = counted
+def send_and_fail(work, dump, block, w, keep):  # keep: the bytes of the result sent
+    data = dump(work(block))
+    with open(w, "wb") as out:
+        out.write((len(data).to_bytes(8, "little") + data)[: 8 + keep(data)])
+    os._exit(3)
+keep = {
+    "a child fails after part of its result": lambda data: 900 * 6 * 8,  # 900 rows of 6 floats
+    "a child dies mid-frame": lambda data: len(data) // 2,
+    "a child fails after it writes": len,
+}
 if case == "unsplit":
     pillar._SPLIT_MIN_CELLS = 1 << 62
-elif case.startswith("a child fails"):
-    rows = {"before it writes": 0, "after part of its result": 900, "after it writes": 2000}[case[14:]]
-    pillar._aggregate = lambda *args, **kwargs: child(*args, rows=rows, **kwargs)
+elif case == "a child fails before it writes":
+    panel._send = lambda *args: os._exit(3)
+elif case in keep:
+    panel._send = lambda *args: send_and_fail(*args, keep[case])
 elif case == "SIGCHLD ignored":  # the system reaps each child
     signal.signal(signal.SIGCHLD, signal.SIG_IGN)
 elif case == "a fork fails":  # the second of two, in each aggregate
@@ -526,7 +536,7 @@ def _split_aggregate(case):
 @pytest.mark.skipif(sys.platform != "linux", reason="only Linux splits a panel")
 @pytest.mark.parametrize("case", [
     "plain", "a child fails before it writes", "a child fails after part of its result",
-    "a child fails after it writes", "SIGCHLD ignored", "a fork fails",
+    "a child fails after it writes", "a child dies mid-frame", "SIGCHLD ignored", "a fork fails",
 ])
 def test_split_aggregate_of_a_large_panel_equals_the_unsplit_aggregate(case):
     error, digest, *rest = _split_aggregate("unsplit")
@@ -534,5 +544,8 @@ def test_split_aggregate_of_a_large_panel_equals_the_unsplit_aggregate(case):
     assert rest == [0, 2, "none", True]
     # two forks tried per aggregate; the process aggregates its own range,
     # and each range whose child or fork failed
-    ranges = {"a child fails before it writes": 3, "a child fails after part of its result": 3, "a fork fails": 2}
+    ranges = {
+        "a child fails before it writes": 3, "a child fails after part of its result": 3, "a child dies mid-frame": 3,
+        "a fork fails": 2,
+    }
     assert _split_aggregate(case) == [error, digest, 4, 2 * ranges.get(case, 1), "none", True]
