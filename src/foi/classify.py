@@ -11,7 +11,7 @@ high pillars are read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,9 +82,9 @@ class ShiftReport:
     epoch_to: int
     shifts: tuple[CountryShift, ...]
     transitions: np.ndarray
-    upward: tuple[CountryShift, ...] = field(default_factory=tuple)
-    downward: tuple[CountryShift, ...] = field(default_factory=tuple)
-    stayers: tuple[CountryShift, ...] = field(default_factory=tuple)
+    upward: tuple[CountryShift, ...]
+    downward: tuple[CountryShift, ...]
+    stayers: tuple[CountryShift, ...]
 
 
 def _cluster_ids(index: np.ndarray, threshold: float, epsilon: float) -> tuple[np.ndarray, np.ndarray]:

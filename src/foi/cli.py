@@ -40,8 +40,8 @@ EXIT_VERIFY = 3
 EXIT_PIPE = 141
 
 
-def _add_panel_flags(sp, panel_required=True):
-    sp.add_argument("--panel", required=panel_required, help="panel CSV path")
+def _add_panel_flags(sp):
+    sp.add_argument("--panel", required=True, help="panel CSV path")
     sp.add_argument("--manifest", help="manifest JSON path (default: built-in 24-indicator manifest)")
     sp.add_argument("--epoch", type=int, default=0, help="epoch year label")
 
@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_inputs(args):
     manifest = load_manifest(args.manifest) if args.manifest else default_manifest()
-    panel = load_panel(args.panel, manifest, epoch=getattr(args, "epoch", 0))
+    panel = load_panel(args.panel, manifest, epoch=args.epoch)
     return manifest, panel
 
 
@@ -182,10 +182,13 @@ def cmd_classify(args) -> int:
 
 def cmd_shift(args) -> int:
     manifest = load_manifest(args.manifest) if args.manifest else default_manifest()
-    epochs = [
-        _scores_for(path, manifest, epoch, args.missing_policy)
-        for path, epoch in ((args.panel_a, args.epoch_a), (args.panel_b, args.epoch_b))
-    ]
+    epochs = []
+    for path, epoch in ((args.panel_a, args.epoch_a), (args.panel_b, args.epoch_b)):
+        with warnings.catch_warnings():
+            # a warning raised while a panel is scored names the panel
+            show = warnings.showwarning
+            warnings.showwarning = lambda message, *rest: show(f"{path}: {message}", *rest)
+            epochs.append(_scores_for(path, manifest, epoch, args.missing_policy))
     # compare the panels' countries before leaving out the unclassifiable
     # ones, which could otherwise hide a country missing from one panel
     check_same_countries(epochs[0].countries, epochs[1].countries)
@@ -270,19 +273,25 @@ def _result_rows(path, payload) -> tuple[str, list[dict]]:
     """The section (``scores`` or ``assignments``) and the rows of a
     result document. A row that is not an object holding each key of
     ``_ROW_TESTS`` with a value that passes its test is a ``SchemaError``
-    that names the row and the key."""
+    that names the row and the key; so are a country that an earlier row
+    holds, and a scores document's ``epoch`` that is not an int."""
     section = next((s for s in _ROW_TESTS if isinstance(payload, dict) and s in payload), None)
     if section is None:
         raise FoiError(f"{path}: unrecognized result document (no 'scores' or 'assignments' key)")
     rows = payload[section]
     if not isinstance(rows, list):
         raise SchemaError(f"{path}: {section!r} must be a list of rows, got {rows!r}")
+    first_row = {}
     for n, row in enumerate(rows, start=1):
         for key, test in _ROW_TESTS[section].items():
             if not isinstance(row, dict) or key not in row:
                 raise SchemaError(f"{path}: {section} row {n} has no {key!r}")
             if not test(row[key]):
                 raise SchemaError(f"{path}: {section} row {n}: {key!r} cannot be {row[key]!r}")
+        if (first := first_row.setdefault(row["country"], n)) != n:
+            raise SchemaError(f"{path}: {section} row {n}: country {row['country']!r} repeats row {first}")
+    if section == "scores" and type(payload.get("epoch", 0)) is not int:
+        raise SchemaError(f"{path}: 'epoch' cannot be {payload['epoch']!r}")
     return section, rows
 
 

@@ -103,9 +103,9 @@ class FactorModel:
     kmo: float
     bartlett: BartlettResult
     variance_explained: float
-    scores: np.ndarray | None = None   # rows x k, nan rows for incomplete countries
-    score_rows: tuple[str, ...] = ()
-    converged: bool = True
+    scores: np.ndarray            # rows x k, nan rows for incomplete countries
+    score_rows: tuple[str, ...]
+    converged: bool
 
 
 def correlation_matrix(data: VariableMatrix, missing: str = "pairwise") -> CorrelationMatrix:
@@ -243,12 +243,9 @@ def anti_image_correlations(r: CorrelationMatrix) -> np.ndarray:
     return q
 
 
-def kmo_statistic(r: CorrelationMatrix, per_variable: bool = False):
-    """Sampling-adequacy ratio of squared correlations to squared
+def kmo_statistic(r: CorrelationMatrix) -> float:
+    """Overall sampling-adequacy ratio of squared correlations to squared
     correlations plus squared partial correlations.
-
-    Returns the overall statistic, or ``(overall, per-variable)`` when
-    ``per_variable`` is set.
 
     Raises
     ------
@@ -262,13 +259,7 @@ def kmo_statistic(r: CorrelationMatrix, per_variable: bool = False):
     denom = r2.sum() + q2.sum()
     if denom == 0.0:
         raise UndefinedStatisticError("all off-diagonal correlations are zero")
-    overall = float(r2.sum() / denom)
-    if not per_variable:
-        return overall
-    r2m = np.where(off, r.values**2, 0.0)
-    q2m = np.where(off, q**2, 0.0)
-    msa = r2m.sum(axis=1) / (r2m.sum(axis=1) + q2m.sum(axis=1))
-    return overall, msa
+    return float(r2.sum() / denom)
 
 
 def _orient_signs(loadings: np.ndarray) -> np.ndarray:
@@ -321,14 +312,13 @@ def varimax_criterion(loadings: np.ndarray) -> float:
 def varimax_rotate(
     loadings: np.ndarray,
     kaiser_normalize: bool = True,
-    tol: float = VARIMAX_TOL,
     max_iter: int = VARIMAX_MAX_SWEEPS,
     variables: tuple[str, ...] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float, bool]:
     """Rotate loadings to maximize the varimax criterion.
 
     Sweeps planar rotations over every factor pair until the relative
-    criterion gain per sweep drops below ``tol``. With Kaiser
+    criterion gain per sweep drops below ``VARIMAX_TOL``. With Kaiser
     normalization, rows are scaled to unit communality before rotation
     and rescaled after.
 
@@ -378,7 +368,7 @@ def varimax_rotate(
         gain = new_crit - crit
         rel = gain / crit if crit > 0 else gain
         crit = new_crit
-        if rel < tol:
+        if rel < VARIMAX_TOL:
             converged = True
             break
 
@@ -477,28 +467,21 @@ def synthesize_known_factors(
     p: int,
     k: int,
     n: int,
-    loadings: np.ndarray | None = None,
     noise: float = 0.3,
     seed: int = 0,
 ) -> tuple[VariableMatrix, np.ndarray]:
     """Deterministic synthetic data with a known factor structure.
 
     Draws n x k standard-normal factors and emits
-    ``factors @ loadings.T + noise * eps``. Without an explicit loading
-    matrix, a block pattern is used: each variable loads 0.8 on one
-    factor, assigned round-robin. Returns the data and the generating
-    loadings.
+    ``factors @ loadings.T + noise * eps``, where each variable loads 0.8
+    on one factor, assigned round-robin. Returns the data and the
+    generating loadings.
     """
     if not (p >= k >= 1) or n <= p:
         raise DomainError(f"need p >= k >= 1 and n > p, got p={p}, k={k}, n={n}")
-    if loadings is None:
-        lam = np.zeros((p, k))
-        for j in range(p):
-            lam[j, j % k] = 0.8
-    else:
-        lam = np.asarray(loadings, dtype=float)
-        if lam.shape != (p, k):
-            raise DomainError(f"loadings shape {lam.shape} does not match ({p}, {k})")
+    lam = np.zeros((p, k))
+    for j in range(p):
+        lam[j, j % k] = 0.8
     rng = np.random.default_rng(seed)
     factors = rng.standard_normal((n, k))
     # decorrelate so sample factors are orthogonal-ish even at modest n

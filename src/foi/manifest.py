@@ -10,7 +10,7 @@ component before the pillar mean is taken.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from .errors import SchemaError
@@ -60,7 +60,7 @@ class IndicatorSpec:
 class IndicatorManifest:
     """Ordered collection of indicator specs."""
 
-    specs: tuple[IndicatorSpec, ...] = field(default_factory=tuple)
+    specs: tuple[IndicatorSpec, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "specs", tuple(self.specs))

@@ -19,7 +19,7 @@ import stat
 import sys
 import warnings
 from contextlib import contextmanager, nullcontext, suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,10 +79,10 @@ class IndicatorPanel:
 class ValidationReport:
     """Missingness summary for a panel. Validation reports, never fails."""
 
-    missing_by_indicator: dict[str, int] = field(default_factory=dict)
-    missing_by_country: dict[str, int] = field(default_factory=dict)
-    coverage: float = 1.0
-    warnings: tuple[str, ...] = ()
+    missing_by_indicator: dict[str, int]
+    missing_by_country: dict[str, int]
+    coverage: float
+    warnings: tuple[str, ...]
 
 
 def _read_grid(path, order=None) -> tuple[list[str], list[str], np.ndarray]:
@@ -443,8 +443,14 @@ def load_panel(panel_csv, manifest: IndicatorManifest, epoch: int = 0) -> Indica
 def write_panel(panel: IndicatorPanel, path) -> None:
     """Serialize a panel to the CSV schema ``load_panel`` reads, with
     ``\\n`` line endings; ``-`` for ``path`` means standard output."""
-    with nullcontext(sys.stdout) if path == "-" else open(path, "w", newline="", encoding="utf-8") as fh:
+    with _open_output(path) as fh:
         _write_grid(fh, panel.indicators, panel.countries, panel.values)
+
+
+def _open_output(path):
+    """Standard output for ``-``; otherwise ``path``, opened for UTF-8 text
+    with ``\\n`` line endings on every system."""
+    return nullcontext(sys.stdout) if path == "-" else open(path, "w", newline="", encoding="utf-8")
 
 
 # A grid is cut into row blocks only when each block would hold at least

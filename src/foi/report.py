@@ -15,27 +15,25 @@ from decimal import ROUND_HALF_UP, Decimal
 from functools import lru_cache
 from operator import attrgetter
 
-import numpy as np
-
 from .classify import ClusterAssignment, ShiftReport
 from .factor import FactorModel
 from .manifest import PILLARS
-from .panel import _write_grid
+from .panel import _open_output, _write_grid
 from .pillar import FoiScores
 
 FORMATS = ("table", "csv", "json")
 
 
-def round_half_up(value: float, digits: int = 1) -> float:
-    """Display rounding: half-up, unlike the banker's rounding builtin."""
-    q = Decimal(10) ** -digits
-    return float(Decimal(repr(value)).quantize(q, rounding=ROUND_HALF_UP))
+def round_half_up(value: float) -> float:
+    """Display rounding to one decimal: half-up, unlike the banker's
+    rounding builtin."""
+    return float(Decimal(repr(value)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
 
 
 def _fmt_cell(value: float | None, rank: int | None) -> str:
     if value is None:
         return ""
-    shown = round_half_up(value, 1)
+    shown = round_half_up(value)
     text = f"{shown:.1f}".rstrip("0").rstrip(".") if shown == int(shown) else f"{shown:.1f}"
     return f"{text} ({rank})" if rank is not None else text
 
@@ -178,21 +176,16 @@ def factor_model_to_json(model: FactorModel) -> str:
     return render("json", payload, None)
 
 
-def factor_scores_to_csv(model: FactorModel, prefix: str = "factor") -> str:
+def factor_scores_to_csv(model: FactorModel) -> str:
     """Scores CSV with one row per country; missing scores are empty cells."""
-    k = model.rotated_loadings.shape[1]
-    scores = model.scores if model.scores is not None else np.full((len(model.score_rows), k), np.nan)
+    k = model.scores.shape[1]
     buf = io.StringIO()
-    _write_grid(buf, [f"{prefix}{j + 1}" for j in range(k)], model.score_rows, scores)
+    _write_grid(buf, [f"factor{j + 1}" for j in range(k)], model.score_rows, model.scores)
     return buf.getvalue()
 
 
 def write_text(text: str, destination) -> None:
-    """Write rendered output; '-' or None means standard output."""
-    if destination in (None, "-"):
-        import sys
-
-        sys.stdout.write(text)
-        return
-    with open(destination, "w", encoding="utf-8") as fh:
+    """Write rendered output as ``write_panel`` writes a panel: ``-`` means
+    standard output, and a file gets ``\\n`` line endings."""
+    with _open_output(destination) as fh:
         fh.write(text)

@@ -169,6 +169,11 @@ CELL = {"country": "AUS", "levels": "HHH", "cluster": 8, "label": "Human capital
         ({"scores": [{**ROW, "f_index": "4.5"}]}, r"scores row 1: 'f_index' cannot be '4.5'"),
         ({"scores": [{**ROW, "o_index": math.inf}]}, r"scores row 1: 'o_index' cannot be inf"),
         ({"scores": [{**ROW, "i_rank": 1.0}]}, r"scores row 1: 'i_rank' cannot be 1.0"),
+        ({"scores": [ROW, {**ROW, "f_rank": 4}]}, r"scores row 2: country 'AUS' repeats row 1"),
+        ({"assignments": [CELL, {**CELL, "country": "BEL"}, CELL]}, r"assignments row 3: country 'AUS' repeats row 1"),
+        ({"epoch": "x", "scores": [ROW]}, r": 'epoch' cannot be 'x'$"),
+        ({"epoch": [1, 2], "scores": [ROW]}, r": 'epoch' cannot be \[1, 2\]$"),
+        ({"epoch": True, "scores": [ROW]}, r": 'epoch' cannot be True$"),
         (["scores"], r"unrecognized result document"),
     ],
 )
@@ -177,7 +182,7 @@ def test_export_rejects_a_malformed_or_contradictory_document(capsys, tmp_path, 
     path.write_text(json.dumps(document))
     code, out, err = run(capsys, "export", "--in", str(path), "--format", "table")
     assert (code, out) == (1, "")
-    assert re.search(message, err), err
+    assert err.count("\n") == 1 and re.search(message, err), err
 
 
 def test_export_takes_levels_and_label_from_the_cluster_id(capsys, tmp_path):
@@ -404,6 +409,18 @@ def test_constant_columns_are_named_in_one_warning(capsys, tmp_path):
         assert err == f"foi {verb}: warning: constant columns mapped to 4.0: {', '.join(names)}\n"
 
 
+def test_shift_names_the_panel_of_each_constant_column_warning(capsys, tmp_path):
+    header, *rows = [line.split(",") for line in Path(PANEL_2020).read_text(encoding="utf-8").splitlines()]
+    panels = []
+    for j, name in ((1, "a.csv"), (7, "b.csv")):
+        path = tmp_path / name
+        path.write_text("".join(",".join(r) + "\n" for r in [header, *(r[:j] + ["5"] + r[j + 1 :] for r in rows)]))
+        panels.append((path, header[j]))
+    code, out, err = run(capsys, "shift", "--panel-a", str(panels[0][0]), "--panel-b", str(panels[1][0]))
+    assert code == 0 and out
+    assert err == "".join(f"foi shift: warning: {path}: constant columns mapped to 4.0: {name}\n" for path, name in panels)
+
+
 @pytest.mark.parametrize("verb", ["rescale", "indices", "classify", "shift"])
 def test_column_whose_span_overflows_is_an_input_error(capsys, tmp_path, verb):
     # 1e308 - (-1e308) is inf: read silently, every cell of the column
@@ -502,8 +519,7 @@ def pipeline_inputs(draw):
     three to six indicators, each pillar held by at least one, some
     `lower_is_better`, some sharing a component; two to eight codes, some
     quoted (a comma, a quote) or not ASCII, and one in ten panels with a
-    code repeated; cells in eighths, exact in binary, about one in 16
-    missing, and up to two constant columns."""
+    code repeated; cells by ``panel_grid``."""
     p = draw(st.integers(3, 6))
     pillars = ["F", "O", "I", *draw(st.lists(st.sampled_from("FOI"), min_size=p - 3, max_size=p - 3))]
     records = [
@@ -514,12 +530,34 @@ def pipeline_inputs(draw):
     codes = draw(st.lists(st.text('AB,"\u00e9', min_size=1, max_size=3), min_size=2, max_size=8, unique=True))
     if draw(st.integers(0, 9)) == 0:
         codes.append(draw(st.sampled_from(codes)))
-    cells = st.tuples(st.integers(0, 15), st.integers(-2000, 2000)).map(lambda c: math.nan if c[0] == 0 else c[1] / 8)
-    values = draw(hnp.arrays(float, (len(codes), p), elements=cells))
-    for j in draw(st.sets(st.integers(0, p - 1), max_size=2)):
-        values[:, j] = np.where(np.isnan(values[:, j]), math.nan, 2.5)
+    values = draw(panel_grid(len(codes), p))
     order = draw(st.permutations(range(p)))
     return records, codes, [records[j]["id"] for j in order], values[:, order]
+
+
+@st.composite
+def panel_grid(draw, n, p):
+    """An n x p grid of cells in eighths, exact in binary, about one in 16
+    missing, with up to two constant columns."""
+    cells = st.tuples(st.integers(0, 15), st.integers(-2000, 2000)).map(lambda c: math.nan if c[0] == 0 else c[1] / 8)
+    values = draw(hnp.arrays(float, (n, p), elements=cells))
+    for j in draw(st.sets(st.integers(0, p - 1), max_size=2)):
+        values[:, j] = np.where(np.isnan(values[:, j]), math.nan, 2.5)
+    return values
+
+
+def _write_inputs(tmp, records, codes, columns, *grids):
+    """The manifest file, and a panel file for each grid, under ``tmp``."""
+    manifest = os.path.join(tmp, "manifest.json")
+    with open(manifest, "w", encoding="utf-8") as fh:
+        json.dump(records, fh)
+    panels = [os.path.join(tmp, f"panel{i}.csv") for i in range(len(grids))]
+    for path, values in zip(panels, grids):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["country", *columns])
+            writer.writerows([code, *("" if math.isnan(v) else repr(v) for v in row)] for code, row in zip(codes, values.tolist()))
+    return manifest, panels
 
 
 def _main_in_process(*argv):
@@ -528,6 +566,22 @@ def _main_in_process(*argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         status = main(list(argv))
     return status, out.getvalue(), err.getvalue().splitlines()
+
+
+def _answer_or_one_error_line(verb, *argv):
+    """Run ``foi verb argv`` in process. On exit 0, return its stdout,
+    with no stderr line but ``DataWarning`` lines; otherwise check that it
+    exited 1 or 2 with no stdout and one error line after any warning
+    lines, and return None."""
+    status, out, err = _main_in_process(verb, *argv)
+    # a DataWarning (constant columns) is a line of its own
+    errors = [line for line in err if not line.startswith(f"foi {verb}: warning: ")]
+    if status == 0:
+        assert not errors, err
+        return out
+    assert status in (1, 2) and not out, (status, err)
+    assert len(errors) == 1 and errors[0] == err[-1] and errors[0].startswith(f"foi {verb}: "), err
+    return None
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="only Linux splits the writer and the aggregate")
@@ -541,23 +595,42 @@ def test_rescale_and_classify_give_the_oracle_answer_or_one_error_line(inputs, c
         monkeypatch.setattr(sys.modules["foi.panel"], "_WRITE_MIN_CELLS", 1)
         monkeypatch.setattr(pillar, "_SPLIT_MIN_CELLS", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        manifest, panel = os.path.join(tmp, "manifest.json"), os.path.join(tmp, "panel.csv")
-        with open(manifest, "w", encoding="utf-8") as fh:
-            json.dump(records, fh)
-        with open(panel, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["country", *columns])
-            writer.writerows([code, *("" if math.isnan(v) else repr(v) for v in row)] for code, row in zip(codes, values.tolist()))
+        manifest, (panel,) = _write_inputs(tmp, records, codes, columns, values)
         for verb, extra, check in (
             ("rescale", ("--out", "-"), oracle.check_rescaled_csv),
             ("classify", ("--format", "json"), oracle.check_classify_json),
         ):
-            status, out, err = _main_in_process(verb, "--panel", panel, "--manifest", manifest, *extra)
-            # a DataWarning (constant columns) is a line of its own
-            errors = [line for line in err if not line.startswith(f"foi {verb}: warning: ")]
-            if status == 0:
-                assert not errors, err
+            out = _answer_or_one_error_line(verb, "--panel", panel, "--manifest", manifest, *extra)
+            if out is not None:
                 check(out, oracle.PanelTruth.build(records, codes, columns, values))
-            else:
-                assert status in (1, 2) and not out, (status, err)
-                assert len(errors) == 1 and errors[0] == err[-1] and errors[0].startswith(f"foi {verb}: "), err
+
+
+@settings(max_examples=80)
+@given(pipeline_inputs(), st.data())
+def test_ingest_indices_shift_and_export_give_the_oracle_answer_or_one_error_line(inputs, data):
+    # a second grid over the same codes and columns is the later epoch
+    records, codes, columns, values = inputs
+    later = data.draw(panel_grid(len(codes), len(columns)))
+    truth = [oracle.PanelTruth.build(records, codes, columns, v) for v in (values, later)]
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest, (panel_a, panel_b) = _write_inputs(tmp, records, codes, columns, values, later)
+        scores, assignments = os.path.join(tmp, "scores.json"), os.path.join(tmp, "assignments.json")
+        common = ("--panel", panel_a, "--manifest", manifest, "--epoch", "2020", "--format", "json")
+        out = _answer_or_one_error_line("ingest", *common)
+        if out is not None:
+            oracle.check_ingest_json(out, truth[0])
+        out = _answer_or_one_error_line(
+            "shift", "--panel-a", panel_a, "--panel-b", panel_b, "--manifest", manifest, "--format", "csv"
+        )
+        if out is not None:
+            oracle.check_shift_csv(out, *truth)
+        if _answer_or_one_error_line("indices", *common, "--out", scores) is None:
+            return
+        text = Path(scores).read_text(encoding="utf-8")
+        oracle.check_indices_json(text, truth[0])
+        oracle.check_export_csv(_answer_or_one_error_line("export", "--in", scores, "--format", "csv"), json.loads(text))
+        # an emitted document exports to the same JSON
+        assert _answer_or_one_error_line("classify", *common, "--out", assignments) == ""
+        for path in (scores, assignments):
+            out = _answer_or_one_error_line("export", "--in", path, "--format", "json")
+            assert json.loads(out) == json.loads(Path(path).read_text(encoding="utf-8"))

@@ -519,13 +519,6 @@ def test_identity_is_undefined():
         kmo_statistic(corr_from(np.eye(5)))
 
 
-def test_per_variable_msa():
-    r_mat = np.full((4, 4), 0.6)
-    np.fill_diagonal(r_mat, 1.0)
-    overall, msa = kmo_statistic(corr_from(r_mat), per_variable=True)
-    assert np.allclose(msa, overall)  # fully symmetric matrix
-
-
 # ------------------------------------------------------------------------ PCA
 
 
