@@ -28,7 +28,7 @@ from .classify import (
     unclassifiable,
 )
 from .errors import DataWarning, FoiError, SchemaError, SingularMatrixError, UndefinedStatisticError
-from .manifest import PILLARS, default_manifest, load_manifest
+from .manifest import PILLARS, _read_json, default_manifest, load_manifest
 from .panel import load_panel, validate_panel, write_panel
 from .reference import verify_reference
 from .rescale import rescale_panel, rescale_rule
@@ -250,78 +250,64 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _of(*types):
-    """A test that a value's type is one of ``types`` (a bool is not an int)."""
-    return lambda v: type(v) in types
-
-
-# the keys of each row of the result documents ``export`` reads, and the
-# test each value must pass
+# the primary keys of each row of the result documents ``export`` reads,
+# and the test each value must pass; the row's other keys are rebuilt
+# from these
 _ROW_TESTS = {
-    "scores": {"country": _of(str)}
-    | {f"{p.lower()}_index": lambda v: v is None or type(v) in (int, float) and 1 <= v <= 7 for p in PILLARS}
-    | {f"{p.lower()}_rank": _of(int, type(None)) for p in PILLARS},
+    "scores": {"country": lambda v: type(v) is str}
+    | {f"{p.lower()}_index": lambda v: v is None or type(v) in (int, float) and 1 <= v <= 7 for p in PILLARS},
     "assignments": {
-        "country": _of(str), "levels": _of(str), "label": _of(str),
+        "country": lambda v: type(v) is str,
         "cluster": lambda v: type(v) is int and 1 <= v <= 8,
         "borderline": lambda v: type(v) is list and all(p in PILLARS for p in v),
     },
 }
 
 
-def _result_rows(path, payload) -> tuple[str, list[dict]]:
-    """The section (``scores`` or ``assignments``) and the rows of a
-    result document. A row that is not an object holding each key of
-    ``_ROW_TESTS`` with a value that passes its test is a ``SchemaError``
-    that names the row and the key; so are a country that an earlier row
-    holds, and a scores document's ``epoch`` that is not an int."""
+def cmd_export(args) -> int:
+    """Re-render a result of ``indices`` or ``classify``, rebuilt from each
+    row's primary keys (``_ROW_TESTS``) as that verb builds it. A row that
+    lacks a key, holds a primary value that fails its test, repeats an
+    earlier row's country, or holds a derived value other than the
+    rebuilt row's (a rank of ``1.0``, ``true`` or null is not the rank 1)
+    is a ``SchemaError`` that names the row and the key."""
+    path, payload = args.infile, _read_json(args.infile)
     section = next((s for s in _ROW_TESTS if isinstance(payload, dict) and s in payload), None)
     if section is None:
         raise FoiError(f"{path}: unrecognized result document (no 'scores' or 'assignments' key)")
-    rows = payload[section]
+    rows, tests = payload[section], _ROW_TESTS[section]
     if not isinstance(rows, list):
         raise SchemaError(f"{path}: {section!r} must be a list of rows, got {rows!r}")
     first_row = {}
     for n, row in enumerate(rows, start=1):
-        for key, test in _ROW_TESTS[section].items():
+        for key, test in tests.items():
             if not isinstance(row, dict) or key not in row:
                 raise SchemaError(f"{path}: {section} row {n} has no {key!r}")
             if not test(row[key]):
                 raise SchemaError(f"{path}: {section} row {n}: {key!r} cannot be {row[key]!r}")
         if (first := first_row.setdefault(row["country"], n)) != n:
             raise SchemaError(f"{path}: {section} row {n}: country {row['country']!r} repeats row {first}")
-    if section == "scores" and type(payload.get("epoch", 0)) is not int:
-        raise SchemaError(f"{path}: 'epoch' cannot be {payload['epoch']!r}")
-    return section, rows
-
-
-def cmd_export(args) -> int:
-    try:
-        with open(args.infile, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{args.infile}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    section, rows = _result_rows(args.infile, payload)
     if section == "scores":
-        # a null index is nan; the ranks are kept only when no rank is null
+        if type(payload.get("epoch", 0)) is not int:
+            raise SchemaError(f"{path}: 'epoch' cannot be {payload['epoch']!r}")
+        # a null index is nan, which ranks last
         index = {p: np.array([r[f"{p.lower()}_index"] for r in rows], dtype=float) for p in PILLARS}
-        ranks = {p: [r[f"{p.lower()}_rank"] for r in rows] for p in PILLARS}
-        ranked = not any(None in v for v in ranks.values())
-        rank = {p: np.array(v, dtype=int) for p, v in ranks.items()} if ranked else None
-        scores = pillar.FoiScores(payload.get("epoch", 0), tuple(r["country"] for r in rows), index, rank)
-        report.write_text(report.render_scores(scores, args.format), args.out)
-        return EXIT_OK
-    # an assignment is made from its cluster id alone; the levels and the
-    # label of its row must be the ones the id implies
-    assignments = [ClusterAssignment(r["country"], r["cluster"], frozenset(r["borderline"])) for r in rows]
-    for n, (row, a) in enumerate(zip(rows, assignments), start=1):
-        for key, implied in (("levels", "".join(a.levels)), ("label", a.label)):
-            if row[key] != implied:
+        result = pillar.rank_countries(pillar.FoiScores(payload.get("epoch", 0), [r["country"] for r in rows], index))
+        rebuilt, render = report.scores_to_rows(result), report.render_scores
+    else:
+        result = [ClusterAssignment(r["country"], r["cluster"], frozenset(r["borderline"])) for r in rows]
+        rebuilt, render = report.assignments_to_rows(result), report.render_assignments
+    # the rebuilt rows are in country order, the document's in any order
+    rebuilt = {r["country"]: r for r in rebuilt}
+    for n, row in enumerate(rows, start=1):
+        for key, value in rebuilt[row["country"]].items():
+            if key not in row:
+                raise SchemaError(f"{path}: {section} row {n} has no {key!r}")
+            if key not in tests and (type(row[key]), row[key]) != (type(value), value):
                 raise SchemaError(
-                    f"{args.infile}: assignments row {n} ({a.country}): "
-                    f"{key!r} {row[key]!r} contradicts cluster {a.cluster_id} ({implied!r})"
+                    f"{path}: {section} row {n} ({row['country']!r}): {key!r} {row[key]!r} contradicts {value!r}"
                 )
-    report.write_text(report.render_assignments(assignments, args.format), args.out)
+    report.write_text(render(result, args.format), args.out)
     return EXIT_OK
 
 

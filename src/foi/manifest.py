@@ -122,15 +122,23 @@ def manifest_from_records(records) -> IndicatorManifest:
     return IndicatorManifest(tuple(specs))
 
 
-def load_manifest(path) -> IndicatorManifest:
-    """Load a manifest from a JSON array of spec objects."""
+def _read_json(path):
+    """The JSON value in the file at ``path``. A file that is not UTF-8
+    text, or not JSON, is a ``SchemaError`` that names it."""
     try:
         with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+            return json.load(fh)
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: not JSON ({exc})") from None
+
+
+def load_manifest(path) -> IndicatorManifest:
+    """Load a manifest from a JSON array of spec objects."""
+    payload = _read_json(path)
     if not isinstance(payload, list):
-        raise SchemaError("manifest JSON must be an array of spec objects")
+        raise SchemaError(f"{path}: manifest JSON must be an array of spec objects")
     return manifest_from_records(payload)
 
 

@@ -10,7 +10,6 @@ disagreements, it never papers over them.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -70,6 +69,9 @@ class VerifyReport:
 @lru_cache(maxsize=1)
 def load_fixture() -> ReferenceFixture:
     """Load the embedded tables, checking their checksum."""
+    # imported here: it loads OpenSSL, and only `verify` hashes
+    import hashlib
+
     text = resources.files("foi.data").joinpath("reference_tables.json").read_text(encoding="utf-8")
     payload = json.loads(text)
     tables = payload["tables"]

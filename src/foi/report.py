@@ -11,7 +11,6 @@ import csv
 import io
 import json
 import math
-from decimal import ROUND_HALF_UP, Decimal
 from functools import lru_cache
 from operator import attrgetter
 
@@ -27,6 +26,9 @@ FORMATS = ("table", "csv", "json")
 def round_half_up(value: float) -> float:
     """Display rounding to one decimal: half-up, unlike the banker's
     rounding builtin."""
+    # imported here: only the table render rounds, so the other verbs skip it
+    from decimal import ROUND_HALF_UP, Decimal
+
     return float(Decimal(repr(value)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
 
 

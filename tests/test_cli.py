@@ -22,6 +22,7 @@ from hypothesis.extra import numpy as hnp
 
 import foi
 from foi import factor, pillar
+from foi.classify import CLUSTER_LABELS, CLUSTER_LEVELS
 from foi.cli import main
 from foi.manifest import DIRECTIONS, default_manifest
 from foi.panel import load_panel
@@ -148,7 +149,9 @@ def test_export_round_trip(capsys, tmp_path):
     assert json.loads(out_json) == json.loads(json_path.read_text())
 
 
-ROW = {"country": "AUS", "f_index": 4.5, "f_rank": 3, "o_index": 3.0, "o_rank": 9, "i_index": None, "i_rank": 1}
+ROW = {"country": "AUS", "f_index": 4.5, "f_rank": 1, "o_index": 3.0, "o_rank": 1, "i_index": None, "i_rank": 1}
+# two rows whose ranks contradict their indices: AUS ranks below BEL in F
+PAIR = [{**ROW, "f_index": 2.0}, {**ROW, "country": "BEL", "f_index": 5.0, "o_index": 2.0, "o_rank": 2, "i_rank": 9}]
 CELL = {"country": "AUS", "levels": "HHH", "cluster": 8, "label": "Human capital-based", "borderline": ["O"]}
 
 
@@ -156,9 +159,9 @@ CELL = {"country": "AUS", "levels": "HHH", "cluster": 8, "label": "Human capital
     "document, message",
     [
         ({"assignments": [CELL, {**CELL, "country": "BEL", "levels": "LLL", "label": "Traditional"}]},
-         r"assignments row 2 \(BEL\): 'levels' 'LLL' contradicts cluster 8 \('HHH'\)"),
+         r"assignments row 2 \('BEL'\): 'levels' 'LLL' contradicts 'HHH'$"),
         ({"assignments": [{**CELL, "label": "Traditional"}]},
-         r"assignments row 1 \(AUS\): 'label' 'Traditional' contradicts cluster 8"),
+         r"assignments row 1 \('AUS'\): 'label' 'Traditional' contradicts 'Human capital-based'$"),
         ({"assignments": [{**CELL, "cluster": 9}]}, r"assignments row 1: 'cluster' cannot be 9"),
         ({"assignments": [{**CELL, "cluster": True}]}, r"assignments row 1: 'cluster' cannot be True"),
         ({"assignments": [{**CELL, "borderline": ["O", "X"]}]}, r"assignments row 1: 'borderline' cannot be \['O', 'X'\]"),
@@ -168,7 +171,12 @@ CELL = {"country": "AUS", "levels": "HHH", "cluster": 8, "label": "Human capital
         ({"scores": [ROW, [1, 2]]}, r"scores row 2 has no 'country'"),
         ({"scores": [{**ROW, "f_index": "4.5"}]}, r"scores row 1: 'f_index' cannot be '4.5'"),
         ({"scores": [{**ROW, "o_index": math.inf}]}, r"scores row 1: 'o_index' cannot be inf"),
-        ({"scores": [{**ROW, "i_rank": 1.0}]}, r"scores row 1: 'i_rank' cannot be 1.0"),
+        ({"scores": [{**ROW, "i_rank": 1.0}]}, r"scores row 1 \('AUS'\): 'i_rank' 1.0 contradicts 1$"),
+        ({"scores": [{**ROW, "o_rank": True}]}, r"scores row 1 \('AUS'\): 'o_rank' True contradicts 1$"),
+        ({"scores": [{**ROW, "i_rank": None}]}, r"scores row 1 \('AUS'\): 'i_rank' None contradicts 1$"),
+        ({"scores": [{k: v for k, v in ROW.items() if k != "i_rank"}]}, r"scores row 1 has no 'i_rank'$"),
+        ({"scores": PAIR}, r"scores row 1 \('AUS'\): 'f_rank' 1 contradicts 2$"),
+        ({"scores": [{**PAIR[0], "f_rank": 2}, PAIR[1]]}, r"scores row 2 \('BEL'\): 'i_rank' 9 contradicts 2$"),
         ({"scores": [ROW, {**ROW, "f_rank": 4}]}, r"scores row 2: country 'AUS' repeats row 1"),
         ({"assignments": [CELL, {**CELL, "country": "BEL"}, CELL]}, r"assignments row 3: country 'AUS' repeats row 1"),
         ({"epoch": "x", "scores": [ROW]}, r": 'epoch' cannot be 'x'$"),
@@ -193,7 +201,11 @@ def test_export_takes_levels_and_label_from_the_cluster_id(capsys, tmp_path):
     assert out == "country,levels,cluster,label,borderline\nAUS,HHH,8,Human capital-based,O\nBEL,HLH,6,-,O\n"
     path.write_text(json.dumps({"scores": [ROW]}))
     code, out, _ = run(capsys, "export", "--in", str(path), "--format", "table")
-    assert code == 0 and out.splitlines()[1].split() == ["AUS", "4.5", "(3)", "3", "(9)"]
+    assert code == 0 and out.splitlines()[1].split() == ["AUS", "4.5", "(1)", "3", "(1)"]
+    # rows in any order, each with the ranks of its indices
+    path.write_text(json.dumps({"scores": [{**PAIR[1], "f_rank": 1, "i_rank": 2}, {**PAIR[0], "f_rank": 2}]}))
+    code, out, _ = run(capsys, "export", "--in", str(path), "--format", "csv")
+    assert (code, out.splitlines()[1:]) == (0, ["AUS,2.0,2,3.0,1,,1", "BEL,5.0,1,2.0,2,,2"])
 
 
 @pytest.mark.parametrize(
@@ -301,9 +313,10 @@ def test_factors_on_one_variable_is_an_input_error(capsys, tmp_path):
 SRC = str(Path(foi.__file__).resolve().parents[1])
 
 
-def _scipy_modules_after(code):
-    """The scipy modules loaded once ``code`` has run in a fresh interpreter."""
-    listing = "import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)"
+def _modules_after(code, roots=("scipy",)):
+    """The modules under ``roots`` loaded once ``code`` has run in a fresh
+    interpreter."""
+    listing = f"import sys; print(sorted(m for m in sys.modules if m.split('.')[0] in {roots!r}), file=sys.stderr)"
     proc = subprocess.run(
         [sys.executable, "-c", f"{code}\n{listing}"],
         env=dict(os.environ, PYTHONPATH=SRC),
@@ -315,18 +328,23 @@ def _scipy_modules_after(code):
 
 
 def test_import_cli_loads_no_scipy():
-    assert _scipy_modules_after("import foi.cli") == "[]"
+    assert _modules_after("import foi.cli") == "[]"
+
+
+def test_import_cli_loads_no_hashlib_or_decimal():
+    # only `verify` hashes, and only a table of indices rounds half up
+    assert _modules_after("import foi.cli", ("hashlib", "_hashlib", "decimal", "_decimal")) == "[]"
 
 
 def test_classify_loads_no_scipy():
     argv = ["classify", "--panel", PANEL_2020, "--format", "json"]
     code = f"import foi.cli\nassert foi.cli.main({argv!r}) == 0"
-    assert _scipy_modules_after(code) == "[]"
+    assert _modules_after(code) == "[]"
 
 
 def test_factors_loads_scipy_special_but_not_scipy_stats():
     code = f"import foi.cli\nassert foi.cli.main({['factors', '--panel', FA_PANEL]!r}) == 0"
-    loaded = _scipy_modules_after(code)
+    loaded = _modules_after(code)
     assert "'scipy.special'" in loaded and "'scipy.stats'" not in loaded
 
 
@@ -339,7 +357,7 @@ def test_factors_loads_no_scipy_when_the_p_value_underflows(tmp_path, missing):
     path.write_text("\n".join([",".join(["country", *data.variables]), *rows]) + "\n")
     argv = ["factors", "--panel", str(path), "--factors-k", "3", "--missing", missing]
     code = f"import foi.cli\nassert foi.cli.main({argv!r}) == 0"
-    assert _scipy_modules_after(code) == "[]"
+    assert _modules_after(code) == "[]"
 
 
 def _threads_after_import_foi(**env):
@@ -485,6 +503,24 @@ def test_manifest_record_of_the_wrong_type_is_an_input_error(capsys, tmp_path, r
     assert (code, out, err) == (1, "", f"foi classify: {message}\n")
 
 
+def test_manifest_that_is_not_json_is_an_input_error(capsys, tmp_path):
+    # the parent named no file: "foi classify: Expecting ',' delimiter: ..."
+    path = tmp_path / "manifest.json"
+    for text, message in (('[{"id":"a"', "not JSON (Expecting ',' delimiter"),
+                          ("{}", "manifest JSON must be an array of spec objects")):
+        path.write_text(text)
+        code, out, err = run(capsys, "classify", "--panel", PANEL_2020, "--manifest", str(path))
+        assert code == 1 and not out
+        assert err.startswith(f"foi classify: {path}: {message}") and err.count("\n") == 1
+
+
+def test_export_document_that_is_not_json_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "scores.json"
+    path.write_text('{"scores": [\n')
+    code, out, err = run(capsys, "export", "--in", str(path))
+    assert (code, out, err) == (1, "", f"foi export: {path}: not JSON (Expecting value: line 2 column 1 (char 13))\n")
+
+
 def test_export_document_that_is_not_utf8_is_an_input_error(capsys, tmp_path):
     doc = tmp_path / "scores.json"
     assert run(capsys, "classify", "--panel", PANEL_2020, "--format", "json", "--out", str(doc))[0] == 0
@@ -611,6 +647,7 @@ def test_ingest_indices_shift_and_export_give_the_oracle_answer_or_one_error_lin
     # a second grid over the same codes and columns is the later epoch
     records, codes, columns, values = inputs
     later = data.draw(panel_grid(len(codes), len(columns)))
+    policy = data.draw(st.sampled_from(pillar.MISSING_POLICIES))
     truth = [oracle.PanelTruth.build(records, codes, columns, v) for v in (values, later)]
     with tempfile.TemporaryDirectory() as tmp:
         manifest, (panel_a, panel_b) = _write_inputs(tmp, records, codes, columns, values, later)
@@ -624,13 +661,33 @@ def test_ingest_indices_shift_and_export_give_the_oracle_answer_or_one_error_lin
         )
         if out is not None:
             oracle.check_shift_csv(out, *truth)
-        if _answer_or_one_error_line("indices", *common, "--out", scores) is None:
+        scored = (*common, "--missing-policy", policy)
+        if _answer_or_one_error_line("indices", *scored, "--out", scores) is None:
             return
         text = Path(scores).read_text(encoding="utf-8")
-        oracle.check_indices_json(text, truth[0])
-        oracle.check_export_csv(_answer_or_one_error_line("export", "--in", scores, "--format", "csv"), json.loads(text))
-        # an emitted document exports to the same JSON
-        assert _answer_or_one_error_line("classify", *common, "--out", assignments) == ""
-        for path in (scores, assignments):
-            out = _answer_or_one_error_line("export", "--in", path, "--format", "json")
-            assert json.loads(out) == json.loads(Path(path).read_text(encoding="utf-8"))
+        if policy == "available_mean":  # the only policy the oracle knows
+            oracle.check_indices_json(text, truth[0])
+            oracle.check_export_csv(_answer_or_one_error_line("export", "--in", scores, "--format", "csv"), json.loads(text))
+        assert _answer_or_one_error_line("classify", *scored, "--out", assignments) == ""
+        for path, section in ((scores, "scores"), (assignments, "assignments")):
+            # an emitted document exports to the same bytes
+            text = Path(path).read_text(encoding="utf-8")
+            assert _answer_or_one_error_line("export", "--in", path, "--format", "json") == text
+            # with one derived value changed, it is rejected at that row and key
+            rows = json.loads(text)[section]
+            if not rows:  # every country left out under `strict`
+                continue
+            n = data.draw(st.integers(0, len(rows) - 1))
+            if section == "scores":  # another row's rank: each pillar ranks 1..n
+                key = data.draw(st.sampled_from(["f_rank", "o_rank", "i_rank"]))
+                wrong = rows[(n + data.draw(st.integers(1, len(rows) - 1))) % len(rows)][key]
+            else:  # another cluster's levels or label
+                key = data.draw(st.sampled_from(["levels", "label"]))
+                others = ["".join(v) for v in CLUSTER_LEVELS.values()] if key == "levels" else [*CLUSTER_LABELS.values(), "-"]
+                wrong = data.draw(st.sampled_from(sorted(set(others) - {rows[n][key]})))
+            right, rows[n][key] = rows[n][key], wrong
+            bad = os.path.join(tmp, "changed.json")
+            with open(bad, "w", encoding="utf-8") as fh:
+                json.dump({section: rows}, fh)
+            message = f"{section} row {n + 1} ({rows[n]['country']!r}): {key!r} {wrong!r} contradicts {right!r}"
+            assert _main_in_process("export", "--in", bad) == (1, "", [f"foi export: {bad}: {message}"])
