@@ -11,11 +11,11 @@ high pillars are read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CountrySetMismatchError, DomainError
+from .errors import CountrySetMismatchError, DomainError, DuplicateCountryError
 from .manifest import PILLARS
 from .pillar import FoiScores
 
@@ -39,8 +39,7 @@ PILLAR_SETS = tuple(frozenset(p for p, shift in zip(PILLARS, (2, 1, 0)) if m >> 
 _HIGH_COUNT = np.array([0] + [levels.count("H") for levels in CLUSTER_LEVELS.values()])
 
 
-@dataclass(frozen=True)
-class ClusterAssignment:
+class ClusterAssignment(NamedTuple):
     """One country's cluster for one epoch. The levels, the label and
     the high-pillar count follow from ``cluster_id``."""
 
@@ -61,16 +60,14 @@ class ClusterAssignment:
         return int(_HIGH_COUNT[self.cluster_id])
 
 
-@dataclass(frozen=True)
-class CountryShift:
+class CountryShift(NamedTuple):
     country: str
     from_cluster: int
     to_cluster: int
     delta_h: int
 
 
-@dataclass(frozen=True)
-class ShiftReport:
+class ShiftReport(NamedTuple):
     """Epoch-to-epoch cluster movements.
 
     ``transitions[a-1][b-1]`` counts countries moving from cluster ``a``
@@ -175,10 +172,15 @@ def shift_report(
     ``delta_h`` is the change in the number of high pillars. Countries
     that keep their cluster are stayers; the rest are upward or downward
     movers by the sign of ``delta_h`` (a lateral move with ``delta_h``
-    0 is in neither list but visible in the transition matrix).
+    0 is in neither list but visible in the transition matrix). A
+    country listed twice in one epoch raises ``DuplicateCountryError``.
     """
-    by_a = {x.country: x for x in a}
-    by_b = {x.country: x for x in b}
+    by_a, by_b = {}, {}
+    for side, assignments, by in (("first", a, by_a), ("second", b, by_b)):
+        for x in assignments:
+            if x.country in by:
+                raise DuplicateCountryError(f"country {x.country!r} appears twice in the {side} epoch")
+            by[x.country] = x
     check_same_countries(by_a, by_b)
     codes = sorted(by_a)
     fr = np.array([by_a[code].cluster_id for code in codes], dtype=int)

@@ -140,10 +140,7 @@ def cmd_ingest(args) -> int:
         "epoch": panel.epoch,
         "countries": len(panel.countries),
         "indicators": len(panel.indicators),
-        "coverage": rep.coverage,
-        "missing_by_indicator": rep.missing_by_indicator,
-        "missing_by_country": rep.missing_by_country,
-        "warnings": list(rep.warnings),
+        **rep._asdict(),
     }
 
     def table():

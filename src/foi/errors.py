@@ -19,7 +19,8 @@ class PanelParseError(FoiError):
 
 
 class DuplicateCountryError(FoiError):
-    """The same country code appears more than once in a panel."""
+    """The same country code appears more than once in a panel or in
+    one epoch's cluster assignments."""
 
 
 class EmptyColumnError(FoiError):

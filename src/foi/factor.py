@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,15 +85,13 @@ class CorrelationMatrix:
         return inv
 
 
-@dataclass(frozen=True)
-class BartlettResult:
+class BartlettResult(NamedTuple):
     chi_square: float
     df: int
     p_value: float
 
 
-@dataclass(frozen=True)
-class FactorModel:
+class FactorModel(NamedTuple):
     """Complete output of one factor-analysis run."""
 
     variables: tuple[str, ...]

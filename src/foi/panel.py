@@ -20,6 +20,7 @@ import sys
 import warnings
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,8 +76,7 @@ class IndicatorPanel:
         return self.values.shape
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Missingness summary for a panel. Validation reports, never fails."""
 
     missing_by_indicator: dict[str, int]

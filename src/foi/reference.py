@@ -11,16 +11,15 @@ disagreements, it never papers over them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 from .classify import DEFAULT_EPSILON, DEFAULT_THRESHOLD, PILLAR_SETS, classify
 from .errors import DomainError, FixtureIntegrityError
 
 
-@dataclass(frozen=True)
-class ReferenceFixture:
+class ReferenceFixture(NamedTuple):
     """Read-only transcription of the published tables."""
 
     countries: dict[str, str]
@@ -39,16 +38,14 @@ class ReferenceFixture:
         return self.clusters[str(epoch)][code]
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     country: str
     computed_cluster: int
     reference_cluster: int
     borderline: bool
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     epoch: int
     matches: int
     mismatches: tuple[Mismatch, ...]

@@ -46,9 +46,11 @@ def render(fmt: str, payload: dict, table, fields=(), rows=()) -> str:
 
     A result without ``fields`` has no CSV form.
     """
+    if fmt == "csv" and not fields:
+        raise ValueError("this result has no CSV form; format must be 'table' or 'json'")
     if fmt == "json":
         return json.dumps(payload, indent=1, sort_keys=True) + "\n"
-    if fmt == "csv" and fields:
+    if fmt == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
         writer.writeheader()
@@ -133,7 +135,7 @@ def render_assignments(assignments: list[ClusterAssignment], fmt: str = "table")
 
 
 def render_shift(report: ShiftReport, fmt: str = "table") -> str:
-    rows = [dict(vars(s)) for s in report.shifts]  # country, from_cluster, to_cluster, delta_h
+    rows = [s._asdict() for s in report.shifts]  # country, from_cluster, to_cluster, delta_h
     payload = {
         "epoch_from": report.epoch_from,
         "epoch_to": report.epoch_to,
@@ -167,11 +169,7 @@ def factor_model_to_json(model: FactorModel) -> str:
         "rotation": model.rotation.tolist(),
         "eigenvalues": model.eigenvalues.tolist(),
         "kmo": model.kmo,
-        "bartlett": {
-            "chi_square": model.bartlett.chi_square,
-            "df": model.bartlett.df,
-            "p_value": model.bartlett.p_value,
-        },
+        "bartlett": model.bartlett._asdict(),
         "variance_explained": model.variance_explained,
         "converged": model.converged,
     }

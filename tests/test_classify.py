@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import re
@@ -17,7 +16,7 @@ from foi.classify import (
     classify_epoch,
     shift_report,
 )
-from foi.errors import CountrySetMismatchError, DomainError
+from foi.errors import CountrySetMismatchError, DomainError, DuplicateCountryError
 from foi.pillar import FoiScores
 from foi.reference import verify_reference
 
@@ -169,8 +168,21 @@ def test_shift_country_set_mismatch():
     assert exc.value.only_in_b == ("CCC",)
 
 
+@pytest.mark.parametrize("a, b, side, code", [
+    ([("A", 1), ("A", 8), ("B", 2)], [("A", 1), ("B", 2)], "first", "A"),
+    ([("A", 1), ("B", 2)], [("B", 2), ("A", 1), ("B", 3)], "second", "B"),
+    # the repeat is named before the country sets are compared
+    ([("A", 1), ("B", 2), ("B", 2)], [("A", 1), ("C", 2)], "first", "B"),
+])
+def test_shift_rejects_a_country_repeated_in_one_epoch(a, b, side, code):
+    # the last of the repeated rows used to win: A shifted 8 -> 1 in a
+    # report of two shifts
+    with pytest.raises(DuplicateCountryError, match=f"^country '{code}' appears twice in the {side} epoch$"):
+        shift_report([ClusterAssignment(*x) for x in a], [ClusterAssignment(*x) for x in b])
+
+
 def test_assignment_stores_only_the_id_and_borderline_set():
-    assert [f.name for f in dataclasses.fields(ClusterAssignment)] == ["country", "cluster_id", "borderline"]
+    assert ClusterAssignment._fields == ("country", "cluster_id", "borderline")
     a = ClusterAssignment("AAA", 6, frozenset("F"))
     assert (a.levels, a.label, a.high_count) == (("H", "L", "H"), "-", 2)
     out = classify_epoch(scores_from({"AAA": (4.0, 4.01, 3.0), "BBB": (3.99, 4.02, 2.0)}))

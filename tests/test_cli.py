@@ -691,3 +691,30 @@ def test_ingest_indices_shift_and_export_give_the_oracle_answer_or_one_error_lin
                 json.dump({section: rows}, fh)
             message = f"{section} row {n + 1} ({rows[n]['country']!r}): {key!r} {wrong!r} contradicts {right!r}"
             assert _main_in_process("export", "--in", bad) == (1, "", [f"foi export: {bad}: {message}"])
+
+
+@settings(max_examples=100)
+@given(st.integers(2, 5), st.integers(3, 10), st.data())
+def test_factors_give_the_oracle_answer_or_one_error_line(p, n, data):
+    # codes unique by their number, some quoted (a comma, a quote) or not
+    # ASCII; a k in [1, p] or `--auto-k`; with and without Kaiser normalization
+    codes = [f"C{i}" + data.draw(st.sampled_from(["", ",", '"', "é"])) for i in range(n)]
+    columns, values = [f"x{j}" for j in range(p)], data.draw(panel_grid(n, p))
+    missing = data.draw(st.sampled_from(["pairwise", "listwise"]))
+    k = data.draw(st.none() | st.integers(1, p))
+    flags = (["--auto-k"] if k is None else ["--factors-k", str(k)]) + data.draw(st.sampled_from([[], ["--no-kaiser"]]))
+    with tempfile.TemporaryDirectory() as tmp:
+        _, (panel,) = _write_inputs(tmp, [], codes, columns, values)
+        scores = os.path.join(tmp, "scores.csv")
+        out = _answer_or_one_error_line("factors", "--panel", panel, "--missing", missing, "--scores-out", scores, *flags)
+        if out is None:
+            return
+        # exit 0: the complete rows vary in every column, so R is finite in both modes
+        truth = oracle.FactorTruth.build(codes, columns, values)
+        if k is None:
+            eigenvalues = truth.eigenvalues[missing]
+            if (abs(eigenvalues - 1.0) < 1e-9).any():  # either side of the rule is right
+                return
+            k = max(int((eigenvalues > 1.0).sum()), 1)
+        oracle.check_factor_json(out, truth, missing, k)
+        oracle.check_scores_csv(Path(scores).read_text(encoding="utf-8"), truth, k)

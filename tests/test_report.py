@@ -1,10 +1,16 @@
+import copy
 import json
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foi.classify import PILLAR_SETS, ClusterAssignment
-from foi.report import assignments_to_rows, render_assignments
+from foi.classify import PILLAR_SETS, ClusterAssignment, CountryShift, ShiftReport
+from foi.factor import BartlettResult, FactorModel
+from foi.panel import ValidationReport
+from foi.reference import Mismatch, ReferenceFixture, VerifyReport
+from foi.report import assignments_to_rows, render, render_assignments
 
 
 def dumps_oracle(assignments):
@@ -41,3 +47,41 @@ def test_a_borderline_set_equal_to_a_shared_one_renders_the_same():
     # export builds its own frozensets; they must find the same template
     a = [ClusterAssignment("AAA", 3, frozenset(["O", "F"])), ClusterAssignment("BBB", 3, PILLAR_SETS[6])]
     assert render_assignments(a, "json") == dumps_oracle(a)
+
+
+def test_a_result_without_csv_form_says_so():
+    with pytest.raises(ValueError, match="^this result has no CSV form; format must be 'table' or 'json'$"):
+        render("csv", {}, list)
+
+
+# each result record, its fields in order, and values for them
+RECORDS = [
+    (ValidationReport, ("missing_by_indicator", "missing_by_country", "coverage", "warnings"),
+     ({"x0": 1}, {"AAA": 1}, 0.5, ("w",))),
+    (BartlettResult, ("chi_square", "df", "p_value"), (3.5, 3, 0.25)),
+    (FactorModel, ("variables", "loadings", "rotated_loadings", "rotation", "eigenvalues", "kmo", "bartlett",
+                   "variance_explained", "scores", "score_rows", "converged"),
+     (("x", "y"), np.eye(2), np.eye(2), np.eye(2), np.ones(2), 0.5, BartlettResult(1.0, 1, 0.5), 1.0,
+      np.zeros((3, 2)), ("A", "B", "C"), True)),
+    (ClusterAssignment, ("country", "cluster_id", "borderline"), ("AAA", 6, frozenset("F"))),
+    (CountryShift, ("country", "from_cluster", "to_cluster", "delta_h"), ("AAA", 1, 8, 3)),
+    (ShiftReport, ("epoch_from", "epoch_to", "shifts", "transitions", "upward", "downward", "stayers"),
+     (2010, 2020, (CountryShift("AAA", 1, 8, 3),), np.eye(8, dtype=int), (CountryShift("AAA", 1, 8, 3),), (), ())),
+    (ReferenceFixture, ("countries", "indices", "clusters", "factor_columns", "factor_values"),
+     ({"AAA": "A"}, {"2020": {}}, {"2020": {"AAA": 1}}, ("f1",), {"AAA": {"f1": None}})),
+    (Mismatch, ("country", "computed_cluster", "reference_cluster", "borderline"), ("AAA", 1, 8, True)),
+    (VerifyReport, ("epoch", "matches", "mismatches"), (2020, 3, (Mismatch("AAA", 1, 8, True),))),
+]
+
+
+@pytest.mark.parametrize("cls, fields, values", RECORDS, ids=[cls.__name__ for cls, _, _ in RECORDS])
+def test_result_records_are_immutable_values(cls, fields, values):
+    # equal values make equal records; an array field is shared, as an
+    # array has no truth value to compare by
+    a = cls(*values)
+    b = cls(*(v if isinstance(v, np.ndarray) else copy.deepcopy(v) for v in values))
+    assert cls._fields == fields and a == b
+    if not any(isinstance(v, (dict, np.ndarray)) for v in values):
+        assert hash(a) == hash(b) == hash(values)
+    with pytest.raises(AttributeError):
+        setattr(a, fields[0], values[0])
