@@ -9,8 +9,6 @@ as its cluster id, from which the levels, the label and the number of
 high pillars are read.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 import numpy as np
@@ -128,7 +126,7 @@ def classify_epoch(
     Countries listed by ``unclassifiable`` are left out.
     """
     index = np.array([scores.index[p] for p in PILLARS], dtype=float)[:, scores.code_order]
-    keep = ~_missing(scores)[scores.code_order]
+    keep = ~np.isnan(index).any(axis=0)
     ids, border = _cluster_ids(index[:, keep], threshold, epsilon)
     countries = scores.countries
     return [
@@ -140,12 +138,8 @@ def classify_epoch(
 def unclassifiable(scores: FoiScores) -> list[str]:
     """Sorted codes of the countries with a missing (``nan``) pillar
     index, as the ``strict`` missing policy leaves them."""
-    return sorted(code for code, m in zip(scores.countries, _missing(scores)) if m)
-
-
-def _missing(scores: FoiScores) -> np.ndarray:
-    """Mask of ``scores.countries`` with a missing (``nan``) pillar index."""
-    return np.isnan([scores.index[p] for p in PILLARS]).any(axis=0)
+    missing = np.isnan([scores.index[p] for p in PILLARS]).any(axis=0)
+    return sorted(code for code, m in zip(scores.countries, missing) if m)
 
 
 def check_same_countries(a, b) -> None:

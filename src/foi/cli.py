@@ -7,8 +7,6 @@ mismatches (only with ``--strict-verify``), 141 standard output closed
 early by its reader (as a shell reports a filter that ``SIGPIPE`` ended).
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os
@@ -46,8 +44,8 @@ def _add_panel_flags(sp):
     sp.add_argument("--epoch", type=int, default=0, help="epoch year label")
 
 
-def _add_output_flags(sp):
-    sp.add_argument("--format", choices=report.FORMATS, default="table")
+def _add_output_flags(sp, formats=report.FORMATS):
+    sp.add_argument("--format", choices=formats, default="table")
     sp.add_argument("--out", default="-", help="output path, '-' for stdout")
 
 
@@ -57,8 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ingest", help="load a panel and report missing-data coverage")
     _add_panel_flags(sp)
-    sp.add_argument("--format", choices=("table", "json"), default="table")
-    sp.add_argument("--out", default="-", help="output path, '-' for stdout")
+    _add_output_flags(sp, ("table", "json"))
 
     sp = sub.add_parser("rescale", help="min-max rescale a panel to the 1-7 scale")
     _add_panel_flags(sp)
@@ -101,19 +98,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     sp.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     sp.add_argument("--strict-verify", action="store_true", help="exit 3 when mismatches exist")
-    sp.add_argument("--format", choices=("table", "json"), default="table")
-    sp.add_argument("--out", default="-", help="output path, '-' for stdout")
+    _add_output_flags(sp, ("table", "json"))
 
     sp = sub.add_parser("export", help="re-render a previously emitted JSON result")
-    sp.add_argument("--in", dest="infile", required=True, help="JSON file from indices/classify/shift")
+    sp.add_argument("--in", dest="infile", required=True, help="JSON file from indices/classify")
     _add_output_flags(sp)
     return parser
 
 
-def _load_inputs(args):
-    manifest = load_manifest(args.manifest) if args.manifest else default_manifest()
-    panel = load_panel(args.panel, manifest, epoch=args.epoch)
-    return manifest, panel
+def _manifest(args):
+    return load_manifest(args.manifest) if args.manifest else default_manifest()
 
 
 def _scores_for(panel_path, manifest, epoch, missing_policy):
@@ -134,7 +128,7 @@ def _warn_left_out(command, codes):
 
 
 def cmd_ingest(args) -> int:
-    manifest, panel = _load_inputs(args)
+    panel = load_panel(args.panel, _manifest(args), epoch=args.epoch)
     rep = validate_panel(panel)
     payload = {
         "epoch": panel.epoch,
@@ -156,21 +150,19 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_rescale(args) -> int:
-    manifest, panel = _load_inputs(args)
-    write_panel(rescale_panel(panel, manifest), args.out)
+    manifest = _manifest(args)
+    write_panel(rescale_panel(load_panel(args.panel, manifest, epoch=args.epoch), manifest), args.out)
     return EXIT_OK
 
 
 def cmd_indices(args) -> int:
-    manifest = load_manifest(args.manifest) if args.manifest else default_manifest()
-    scores = _scores_for(args.panel, manifest, args.epoch, args.missing_policy)
+    scores = _scores_for(args.panel, _manifest(args), args.epoch, args.missing_policy)
     report.write_text(report.render_scores(scores, args.format), args.out)
     return EXIT_OK
 
 
 def cmd_classify(args) -> int:
-    manifest = load_manifest(args.manifest) if args.manifest else default_manifest()
-    scores = _scores_for(args.panel, manifest, args.epoch, args.missing_policy)
+    scores = _scores_for(args.panel, _manifest(args), args.epoch, args.missing_policy)
     assignments = classify_epoch(scores, threshold=args.threshold, epsilon=args.epsilon)
     _warn_left_out(args.command, unclassifiable(scores))
     report.write_text(report.render_assignments(assignments, args.format), args.out)
@@ -178,7 +170,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_shift(args) -> int:
-    manifest = load_manifest(args.manifest) if args.manifest else default_manifest()
+    manifest = _manifest(args)
     epochs = []
     for path, epoch in ((args.panel_a, args.epoch_a), (args.panel_b, args.epoch_b)):
         with warnings.catch_warnings():

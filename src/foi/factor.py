@@ -6,8 +6,6 @@ component extraction, varimax rotation with optional Kaiser
 normalization, explained variance, and regression-method factor scores.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -319,7 +317,8 @@ def varimax_rotate(
     Sweeps planar rotations over every factor pair until the relative
     criterion gain per sweep drops below ``VARIMAX_TOL``. With Kaiser
     normalization, rows are scaled to unit communality before rotation
-    and rescaled after.
+    and rescaled after. A single column has no pair to rotate: the first
+    sweep gains nothing, and only the sign rule acts on it.
 
     Returns ``(rotated, rotation, criterion, converged)``; the rotation
     matrix R is orthogonal and satisfies ``rotated = loadings @ R`` (up
@@ -340,11 +339,6 @@ def varimax_rotate(
         work = lam.copy()
 
     rotation = np.eye(k)
-    if k == 1:
-        rotated = lam * _orient_signs(lam)
-        rotation[0, 0] = float(np.sign((rotated * lam).sum()) or 1.0)
-        return rotated, rotation, varimax_criterion(work * rotation[0, 0]), True
-
     crit = varimax_criterion(work)
     converged = False
     for _ in range(max_iter):
@@ -437,12 +431,9 @@ def fit_factor_model(
             f"{exc}; pairwise deletion can cause this, try --missing listwise"
         ) from None
     kmo = kmo_statistic(r)
-    all_loadings, eigvals = pca_extract(r, r.p)
+    loadings, eigvals = pca_extract(r, r.p if auto_k else k)
     if auto_k:
-        k = max(kaiser_count(eigvals), 1)
-    if not (1 <= k <= r.p):
-        raise DomainError(f"k must be in [1, {r.p}], got {k}")
-    loadings = all_loadings[:, :k]
+        loadings = loadings[:, : max(kaiser_count(eigvals), 1)]
     rotated, rotation, _, converged = varimax_rotate(
         loadings, kaiser_normalize=kaiser_normalize, variables=data.variables
     )

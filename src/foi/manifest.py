@@ -7,8 +7,6 @@ key, in which case their rescaled values are averaged into a single
 component before the pillar mean is taken.
 """
 
-from __future__ import annotations
-
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -91,16 +89,11 @@ class IndicatorManifest:
 
     def pillar_components(self, pillar: str) -> list[tuple[str, list[str]]]:
         """Components of one pillar as ``(component, member ids)`` pairs."""
-        out: list[tuple[str, list[str]]] = []
-        seen: dict[str, list[str]] = {}
+        members: dict[str, list[str]] = {}  # in order of first appearance
         for s in self.specs:
-            if s.pillar != pillar:
-                continue
-            if s.component not in seen:
-                seen[s.component] = []
-                out.append((s.component, seen[s.component]))
-            seen[s.component].append(s.id)
-        return out
+            if s.pillar == pillar:
+                members.setdefault(s.component, []).append(s.id)
+        return list(members.items())
 
 
 def manifest_from_records(records) -> IndicatorManifest:

@@ -5,8 +5,6 @@ marking missing cells. CSV columns are reordered to follow the manifest,
 so two files with permuted columns load to identical panels.
 """
 
-from __future__ import annotations
-
 import collections
 import csv
 import functools
@@ -98,7 +96,7 @@ def _read_grid(path, order=None) -> tuple[list[str], list[str], np.ndarray]:
         regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
         if not regular:  # a pipe: held, so that it can be read again
             fh = io.BytesIO(fh.read())
-        raw = fh.readline()
+        raw = fh.readline().removeprefix(b"\xef\xbb\xbf")  # the BOM of Excel's "CSV UTF-8"
         if not raw:
             raise SchemaError(f"{path}: empty file")
         pieces = _pieces(raw)
@@ -418,9 +416,10 @@ def _send(work, dump, block: slice, w: int) -> None:
 def load_panel(panel_csv, manifest: IndicatorManifest, epoch: int = 0) -> IndicatorPanel:
     """Read a ``country,<indicator ids...>`` CSV into a panel.
 
-    Blank lines are skipped. An empty cell or the literal ``nan`` is a
-    missing value. Column order in the result follows the manifest
-    regardless of the file's column order.
+    A UTF-8 byte order mark before the header is dropped, and blank lines
+    are skipped. An empty cell or the literal ``nan`` is a missing value.
+    Column order in the result follows the manifest regardless of the
+    file's column order.
 
     Raises
     ------

@@ -6,8 +6,6 @@ averaged into one component value, so a component backed by two source
 series still counts once in the pillar mean.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 from functools import cached_property
 

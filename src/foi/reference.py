@@ -8,8 +8,6 @@ and diffs the result against the published memberships; it reports
 disagreements, it never papers over them.
 """
 
-from __future__ import annotations
-
 import json
 from functools import lru_cache
 from importlib import resources

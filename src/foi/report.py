@@ -5,8 +5,6 @@ parentheses after the index. CSV and JSON exports carry full precision;
 missing values are empty CSV cells / JSON nulls.
 """
 
-from __future__ import annotations
-
 import csv
 import io
 import json

@@ -6,9 +6,6 @@ the indicator's direction flag. Extremes are taken over the countries in
 the panel at hand, so the scale is relative to the analyzed set.
 """
 
-from __future__ import annotations
-
-import dataclasses
 import warnings
 from typing import NamedTuple
 
@@ -99,4 +96,4 @@ def rescale_panel(panel: IndicatorPanel, manifest: IndicatorManifest) -> Indicat
     grid = np.empty_like(panel.values)
     rescale_rule(panel, manifest).apply(panel.values, grid)
     grid.setflags(write=False)  # the panel takes it without a copy
-    return dataclasses.replace(panel, values=grid)
+    return IndicatorPanel(panel.epoch, panel.countries, panel.indicators, grid)

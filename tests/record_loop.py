@@ -13,8 +13,9 @@ def _read_records(path) -> tuple[list[str], list[str], np.ndarray]:
     """Column ids, row codes and the float grid of a ``country,<column
     ids...>`` CSV, each reader error raised as ``_read_grid`` must raise
     it, for the first bad record in file order."""
-    # a byte that is not UTF-8 is read as a lone surrogate and named below
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+    # a byte that is not UTF-8 is read as a lone surrogate and named below;
+    # "utf-8-sig" drops a byte order mark before the header
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

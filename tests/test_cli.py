@@ -208,6 +208,18 @@ def test_export_takes_levels_and_label_from_the_cluster_id(capsys, tmp_path):
     assert (code, out.splitlines()[1:]) == (0, ["AUS,2.0,2,3.0,1,,1", "BEL,5.0,1,2.0,2,,2"])
 
 
+def test_export_takes_no_shift_document_and_its_help_does_not_name_shift(capsys, tmp_path):
+    path = tmp_path / "shift.json"
+    assert run(capsys, "shift", "--panel-a", PANEL_2010, "--panel-b", PANEL_2020, "--format", "json",
+               "--out", str(path))[0] == 0
+    message = f"foi export: {path}: unrecognized result document (no 'scores' or 'assignments' key)\n"
+    assert run(capsys, "export", "--in", str(path)) == (1, "", message)
+    with pytest.raises(SystemExit):
+        main(["export", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "JSON file from indices/classify" in text and "shift" not in text
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -474,6 +486,15 @@ def test_panel_that_is_not_utf8_is_an_input_error(capsys, tmp_path, verb, panel)
     assert err == f"foi {verb}: {path}: row 3: byte 0xe9 is not UTF-8 text\n"
 
 
+@pytest.mark.parametrize("verb, panel", [("ingest", PANEL_2020), ("factors", FA_PANEL)])
+def test_byte_order_mark_before_the_header_changes_no_output(capsys, tmp_path, verb, panel):
+    # Excel's "CSV UTF-8" starts with EF BB BF, which must not make the
+    # verb say "first header column must be 'country'"
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(panel).read_bytes())
+    assert run(capsys, verb, "--panel", str(marked)) == run(capsys, verb, "--panel", panel)
+
+
 def test_manifest_that_is_not_utf8_is_an_input_error(capsys, tmp_path):
     manifest = str(DATA / "manifest_default.json")
     path = _latin1_in(manifest, tmp_path, "manifest.json", b'"name": "')
@@ -555,7 +576,7 @@ def pipeline_inputs(draw):
     three to six indicators, each pillar held by at least one, some
     `lower_is_better`, some sharing a component; two to eight codes, some
     quoted (a comma, a quote) or not ASCII, and one in ten panels with a
-    code repeated; cells by ``panel_grid``."""
+    code repeated; cells by ``panel_grid``, given the components."""
     p = draw(st.integers(3, 6))
     pillars = ["F", "O", "I", *draw(st.lists(st.sampled_from("FOI"), min_size=p - 3, max_size=p - 3))]
     records = [
@@ -564,19 +585,37 @@ def pipeline_inputs(draw):
         for j, pillar in enumerate(pillars)
     ]
     codes = draw(st.lists(st.text('AB,"\u00e9', min_size=1, max_size=3), min_size=2, max_size=8, unique=True))
-    if draw(st.integers(0, 9)) == 0:
+    if draw(st.integers(0, 9)) == 9:  # not 0, which hypothesis draws far more often than one time in ten
         codes.append(draw(st.sampled_from(codes)))
-    values = draw(panel_grid(len(codes), p))
-    order = draw(st.permutations(range(p)))
-    return records, codes, [records[j]["id"] for j in order], values[:, order]
+    columns = [records[j]["id"] for j in draw(st.permutations(range(p)))]
+    return records, codes, columns, draw(panel_grid(len(codes), p, _components(records, columns)))
+
+
+def _components(records, columns):
+    """The positions of ``columns`` grouped by the component that the
+    manifest ``records`` put each in."""
+    groups = {}
+    for j, column in enumerate(columns):
+        rec = next(r for r in records if r["id"] == column)
+        groups.setdefault((rec["pillar"], rec["component"] or column), []).append(j)
+    return list(groups.values())
 
 
 @st.composite
-def panel_grid(draw, n, p):
+def panel_grid(draw, n, p, components=()):
     """An n x p grid of cells in eighths, exact in binary, about one in 16
-    missing, with up to two constant columns."""
+    missing, with up to two constant columns. Given ``components``, lists
+    of column positions, seven grids in eight keep an observed cell in
+    each column, and of each component in each row, so that more panels
+    get past `indices`; the eighth may leave either empty."""
     cells = st.tuples(st.integers(0, 15), st.integers(-2000, 2000)).map(lambda c: math.nan if c[0] == 0 else c[1] / 8)
     values = draw(hnp.arrays(float, (n, p), elements=cells))
+    if components and draw(st.integers(0, 7)) != 7:  # 7, not 0: see pipeline_inputs
+        for cols in components:
+            for i in np.flatnonzero(np.isnan(values[:, cols]).all(axis=1)):
+                values[i, draw(st.sampled_from(cols))] = draw(st.integers(-2000, 2000)) / 8
+        for j in np.flatnonzero(np.isnan(values).all(axis=0)):
+            values[draw(st.integers(0, n - 1)), j] = draw(st.integers(-2000, 2000)) / 8
     for j in draw(st.sets(st.integers(0, p - 1), max_size=2)):
         values[:, j] = np.where(np.isnan(values[:, j]), math.nan, 2.5)
     return values
@@ -621,7 +660,7 @@ def _answer_or_one_error_line(verb, *argv):
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="only Linux splits the writer and the aggregate")
-@settings(max_examples=120)
+@settings(max_examples=80)
 @given(pipeline_inputs(), st.integers(2, 3))
 def test_rescale_and_classify_give_the_oracle_answer_or_one_error_line(inputs, cpus):
     # both block maps split, the writer's and the aggregate's, so that
@@ -641,12 +680,12 @@ def test_rescale_and_classify_give_the_oracle_answer_or_one_error_line(inputs, c
                 check(out, oracle.PanelTruth.build(records, codes, columns, values))
 
 
-@settings(max_examples=80)
+@settings(max_examples=60)
 @given(pipeline_inputs(), st.data())
 def test_ingest_indices_shift_and_export_give_the_oracle_answer_or_one_error_line(inputs, data):
     # a second grid over the same codes and columns is the later epoch
     records, codes, columns, values = inputs
-    later = data.draw(panel_grid(len(codes), len(columns)))
+    later = data.draw(panel_grid(len(codes), len(columns), _components(records, columns)))
     policy = data.draw(st.sampled_from(pillar.MISSING_POLICIES))
     truth = [oracle.PanelTruth.build(records, codes, columns, v) for v in (values, later)]
     with tempfile.TemporaryDirectory() as tmp:

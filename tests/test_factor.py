@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import foi
+from foi import factor
 from foi.errors import (
     DomainError,
     DuplicateCountryError,
@@ -663,6 +664,26 @@ def test_single_factor_is_identity():
     assert np.allclose(np.abs(rotated), np.abs(lam))
 
 
+# nonzero loadings whose squares are normal floats, so that a row's
+# communality is its loading's magnitude, and whose fourth powers, summed,
+# keep the varimax criterion finite
+_SINGLE_LOADINGS = hnp.arrays(
+    float, st.tuples(st.integers(1, 30), st.just(1)),
+    elements=st.tuples(st.booleans(), st.floats(2.0**-511, 2.0**250)).map(lambda c: -c[1] if c[0] else c[1]),
+)
+
+
+@settings(max_examples=300)
+@given(_SINGLE_LOADINGS, st.booleans())
+def test_single_factor_only_orients_its_column(lam, kaiser):
+    # one column has no pair to rotate: the sweeps change nothing and stop
+    # after the first, and only the sign rule acts, bit for bit
+    sign = 1.0 if lam[np.argmax(np.abs(lam[:, 0])), 0] > 0 else -1.0
+    rotated, rotation, _, converged = varimax_rotate(lam, kaiser_normalize=kaiser)
+    assert rotated.tobytes() == (lam * sign).tobytes()
+    assert rotation.tolist() == [[sign]] and converged
+
+
 def test_simple_structure_stays_put():
     lam = np.zeros((8, 2))
     lam[:4, 0] = 0.9
@@ -839,11 +860,14 @@ def test_fit_factor_model_fields():
 
 
 def test_fit_loadings_equal_direct_extraction_for_every_k():
+    # extracting k columns gives the first k of the full extraction, bit for bit
     data = load_variable_matrix(FA_PANEL)
-    r = correlation_matrix(data)
-    for k in range(1, r.p + 1):
-        model = fit_factor_model(data, k=k)
-        assert model.loadings.tobytes() == np.ascontiguousarray(pca_extract(r, k)[0]).tobytes()
+    for missing in ("pairwise", "listwise"):
+        r = correlation_matrix(data, missing=missing)
+        full = pca_extract(r, r.p)[0]
+        for k in range(1, r.p + 1):
+            loadings = fit_factor_model(data, k=k, missing=missing).loadings
+            assert loadings.tobytes() == np.ascontiguousarray(full[:, :k]).tobytes()
 
 
 def _permuted_fit_differences(data, k, missing, rows, cols):
@@ -925,10 +949,18 @@ def test_two_variable_factors_follow_column_position():
 
 
 @pytest.mark.parametrize("k", (0, 7))
-def test_fit_rejects_k_out_of_range(k):
+def test_fit_rejects_k_out_of_range(monkeypatch, k):
+    # after Bartlett's test and KMO, so that a singular or undefined R is
+    # reported first, as `factors --factors-k 0` reports it
+    calls = []
+    for name in ("bartlett_test", "kmo_statistic"):
+        real = getattr(factor, name)
+        monkeypatch.setattr(factor, name, lambda *args, real=real: calls.append(real.__name__) or real(*args))
     data, _ = synthesize_known_factors(p=6, k=2, n=120, seed=11)
-    with pytest.raises(DomainError, match="k must be"):
+    with pytest.raises(DomainError) as exc:
         fit_factor_model(data, k=k)
+    assert str(exc.value) == f"k must be in [1, 6], got {k}"
+    assert calls == ["bartlett_test", "kmo_statistic"]
 
 
 def write_csv(tmp_path, text):
@@ -960,6 +992,14 @@ def test_variable_matrix_infinite_cell_names_row_and_column(tmp_path):
     with pytest.raises(PanelParseError) as exc:
         load_variable_matrix(path)
     assert (exc.value.row, exc.value.column) == (2, "a")
+
+
+def test_variable_matrix_drops_a_byte_order_mark_before_the_header(tmp_path):
+    path = tmp_path / "vars.csv"
+    path.write_bytes(b"\xef\xbb\xbfcountry,a,b\nX,1,2\nY,3,\n")
+    data = load_variable_matrix(path)
+    assert (data.rows, data.variables) == (("X", "Y"), ("a", "b"))
+    assert np.array_equal(data.values, [[1.0, 2.0], [3.0, np.nan]], equal_nan=True)
 
 
 @pytest.mark.skipif(

@@ -166,6 +166,18 @@ def test_literal_nan_is_missing(tmp_path):
     assert np.isnan(panel.values).tolist() == [[False, True], [True, False]]
 
 
+def test_byte_order_mark_before_the_header_is_dropped(tmp_path):
+    # Excel's "CSV UTF-8" starts with EF BB BF, which is not part of the
+    # first header column: the file reads as it does without it
+    text = "country,b,a\r\nAAA,2,1\r\nBBB,,3\r\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    got, want = load_panel(marked, TWO_COL), load_panel(plain, TWO_COL)
+    assert (got.countries, got.indicators) == (want.countries, want.indicators) == (("AAA", "BBB"), ("a", "b"))
+    assert got.values.tobytes() == want.values.tobytes()
+
+
 def test_row_with_extra_cell_is_schema_error(tmp_path):
     path = write(tmp_path, "country,a,b\nAAA,1,2,3\n")
     with pytest.raises(SchemaError, match="row 1"):
@@ -313,19 +325,19 @@ _ODD_CODES = st.sampled_from(["AAA", "BBB", " AAA ", '"BBB"', '"C,C"', '"C\nC"',
 @st.composite
 def grid_files(draw):
     """CSV text with numbers, empty cells and blank lines, LF or CRLF line
-    ends, and up to two kinds of odd input: repeated headers, lines of
-    whitespace or commas, short and long rows, rows with one
-    whitespace-only, infinite, unparsable or quoted cell, and repeated,
+    ends, and up to two kinds of odd input: a byte order mark, repeated
+    headers, lines of whitespace or commas, short and long rows, rows with
+    one whitespace-only, infinite, unparsable or quoted cell, and repeated,
     quoted or empty codes. A lone surrogate ``\\udce9`` stands for the
     byte 0xe9, which is not UTF-8 (see ``_file_bytes``)."""
     odd = draw(st.sets(st.sampled_from(
-        ["repeated header", "spaces", "commas", "short", "long", "odd cell", "odd code"]
+        ["bom", "repeated header", "spaces", "commas", "short", "long", "odd cell", "odd code"]
     ), max_size=2))
     width = draw(st.integers(1, 4))
     columns = list("abcd"[:width])
     if "repeated header" in odd:
         columns = draw(st.lists(st.sampled_from("abcd"), min_size=width, max_size=width))
-    lines = ["country," + ",".join(columns)]
+    lines = ["\ufeff" * ("bom" in odd) + "country," + ",".join(columns)]
     kinds = ["row"] * 4 + ["blank"] + sorted(odd & {"spaces", "commas", "short", "long", "odd cell"})
     for i in range(draw(st.integers(0, 6))):
         kind = draw(st.sampled_from(kinds))
