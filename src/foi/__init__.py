@@ -39,7 +39,6 @@ from .factor import (
     BartlettResult,
     CorrelationMatrix,
     FactorModel,
-    VariableMatrix,
     bartlett_test,
     congruence,
     correlation_matrix,

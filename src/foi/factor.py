@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, SingularMatrixError, UndefinedStatisticError
-from .panel import _frozen_grid, _read_grid
+from .panel import IndicatorPanel, _read_grid
 
 VARIMAX_TOL = 1e-12
 VARIMAX_MAX_SWEEPS = 1000
@@ -28,28 +28,6 @@ _SMALLEST_SUMSQ = np.finfo(float).tiny * 2.0**60
 # A bound under e^-800 is far below half the smallest subnormal (about
 # e^-745.1), so the tail rounds to 0.0 and scipy need not be imported
 _TAIL_UNDERFLOW_LOG = -800.0
-
-
-@dataclass(frozen=True)
-class VariableMatrix:
-    """Observations (rows) by variables (columns), ``nan`` = missing."""
-
-    rows: tuple[str, ...]
-    variables: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        object.__setattr__(self, "variables", tuple(self.variables))
-        grid = _frozen_grid(self.values)
-        object.__setattr__(self, "values", grid)
-        if grid.shape != (len(self.rows), len(self.variables)):
-            raise DomainError("grid shape does not match row/variable labels")
-
-    @property
-    def n(self) -> int:
-        """Effective observation count: rows with no missing cell."""
-        return int((~np.isnan(self.values)).all(axis=1).sum())
 
 
 @dataclass(frozen=True)
@@ -105,8 +83,9 @@ class FactorModel(NamedTuple):
     converged: bool
 
 
-def correlation_matrix(data: VariableMatrix, missing: str = "pairwise") -> CorrelationMatrix:
-    """Pearson correlations under pairwise or listwise deletion.
+def correlation_matrix(data: IndicatorPanel, missing: str = "pairwise") -> CorrelationMatrix:
+    """Pearson correlations of the columns of ``data``, a matrix of
+    ``epoch`` 0, under pairwise or listwise deletion.
 
     Each r is computed on the rows where both variables are observed;
     listwise deletion first drops every row with a missing cell. All
@@ -127,7 +106,7 @@ def correlation_matrix(data: VariableMatrix, missing: str = "pairwise") -> Corre
     if missing not in ("pairwise", "listwise"):
         raise DomainError(f"missing must be 'pairwise' or 'listwise', got {missing!r}")
     grid = data.values
-    p = len(data.variables)
+    p = len(data.indicators)
     observed = ~np.isnan(grid)
     if missing == "listwise":
         observed &= observed.all(axis=1)[:, None]
@@ -152,25 +131,25 @@ def correlation_matrix(data: VariableMatrix, missing: str = "pairwise") -> Corre
         unsure = ~((ss * _CANCELLATION > sumsq) & (sumsq > _SMALLEST_SUMSQ))
     for j in np.flatnonzero(np.diag(unsure) & (n_obs > 0)):
         if _zero_variance(np.ldexp(grid[observed[:, j], j], -e[j])):
-            raise DomainError(f"variable {data.variables[j]!r} has zero variance")
+            raise DomainError(f"variable {data.indicators[j]!r} has zero variance")
     suspect = (counts < 3) | unsure | unsure.T | ~np.isfinite(r)
     for a, b in np.argwhere(np.triu(suspect, 1)):
         if counts[a, b] < 3:
             raise DomainError(
                 f"fewer than 3 complete observations for pair "
-                f"({data.variables[a]!r}, {data.variables[b]!r})"
+                f"({data.indicators[a]!r}, {data.indicators[b]!r})"
             )
         ok = observed[:, a] & observed[:, b]
         x, y = np.ldexp(grid[ok, a], -e[a]), np.ldexp(grid[ok, b], -e[b])
         if _zero_variance(x) or _zero_variance(y):
             raise DomainError(
-                f"zero variance in pair ({data.variables[a]!r}, {data.variables[b]!r})"
+                f"zero variance in pair ({data.indicators[a]!r}, {data.indicators[b]!r})"
             )
         r[a, b] = ((x - x.mean()) * (y - y.mean())).mean() / (x.std() * y.std())
     r = np.triu(r, 1)
     r += r.T
     np.fill_diagonal(r, 1.0)
-    return CorrelationMatrix(variables=data.variables, values=r, pair_counts=counts)
+    return CorrelationMatrix(variables=data.indicators, values=r, pair_counts=counts)
 
 
 def _magnitude_exponents(grid: np.ndarray) -> np.ndarray:
@@ -267,12 +246,8 @@ def _orient_signs(loadings: np.ndarray) -> np.ndarray:
     column position. With two variables both eigenvectors of R tie: the
     first rotated factor is always the one the first column loads on, and
     swapping the two columns swaps the two rotated factors."""
-    flips = np.ones(loadings.shape[1])
-    for j in range(loadings.shape[1]):
-        col = loadings[:, j]
-        if col[np.argmax(np.abs(col))] < 0:
-            flips[j] = -1.0
-    return flips
+    k = loadings.shape[1]
+    return np.where(loadings[np.argmax(np.abs(loadings), axis=0), np.arange(k)] < 0, -1.0, 1.0)
 
 
 def pca_extract(r: CorrelationMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -322,7 +297,8 @@ def varimax_rotate(
 
     Returns ``(rotated, rotation, criterion, converged)``; the rotation
     matrix R is orthogonal and satisfies ``rotated = loadings @ R`` (up
-    to the row normalization, which cancels).
+    to the row normalization, which cancels). The criterion is that of
+    the last sweep: the sign rule leaves every square as it was.
     """
     lam = np.array(loadings, dtype=float)
     if lam.ndim != 2 or lam.shape[1] < 1:
@@ -367,9 +343,7 @@ def varimax_rotate(
 
     rotated = (work * comm[:, None]) if kaiser_normalize else work
     flips = _orient_signs(rotated)
-    rotated = rotated * flips
-    rotation = rotation * flips
-    return rotated, rotation, varimax_criterion(work * flips), converged
+    return rotated * flips, rotation * flips, crit, converged
 
 
 def variance_explained(rotated_loadings: np.ndarray, p: int) -> float:
@@ -379,7 +353,7 @@ def variance_explained(rotated_loadings: np.ndarray, p: int) -> float:
 
 
 def factor_scores(
-    data: VariableMatrix,
+    data: IndicatorPanel,
     r: CorrelationMatrix,
     rotated_loadings: np.ndarray,
 ) -> np.ndarray:
@@ -399,7 +373,7 @@ def factor_scores(
     sd = base.std(axis=0)
     if (sd == 0.0).any():
         j = int(np.flatnonzero(sd == 0.0)[0])
-        raise DomainError(f"variable {data.variables[j]!r} is constant on complete rows")
+        raise DomainError(f"variable {data.indicators[j]!r} is constant on complete rows")
     weights = r.inverse @ np.asarray(rotated_loadings, dtype=float)
     scores = np.full((grid.shape[0], weights.shape[1]), np.nan)
     scores[complete] = ((base - mu) / sd) @ weights
@@ -407,7 +381,7 @@ def factor_scores(
 
 
 def fit_factor_model(
-    data: VariableMatrix,
+    data: IndicatorPanel,
     k: int = 2,
     missing: str = "pairwise",
     kaiser_normalize: bool = True,
@@ -419,7 +393,9 @@ def fit_factor_model(
     eigenvalue-above-1 rule instead of ``k``.
     """
     r = correlation_matrix(data, missing=missing)
-    n = data.n if missing == "listwise" else int(r.pair_counts.min())
+    # under listwise deletion every pair count is the number of complete
+    # rows; with no variable column, Bartlett's test rejects p = 0 below
+    n = int(r.pair_counts.min(initial=len(data.countries)))
     try:
         bart = bartlett_test(r, n)
     except SingularMatrixError as exc:
@@ -435,11 +411,11 @@ def fit_factor_model(
     if auto_k:
         loadings = loadings[:, : max(kaiser_count(eigvals), 1)]
     rotated, rotation, _, converged = varimax_rotate(
-        loadings, kaiser_normalize=kaiser_normalize, variables=data.variables
+        loadings, kaiser_normalize=kaiser_normalize, variables=data.indicators
     )
     scores = factor_scores(data, r, rotated)
     return FactorModel(
-        variables=data.variables,
+        variables=data.indicators,
         loadings=loadings,
         rotated_loadings=rotated,
         rotation=rotation,
@@ -448,7 +424,7 @@ def fit_factor_model(
         bartlett=bart,
         variance_explained=variance_explained(rotated, r.p),
         scores=scores,
-        score_rows=data.rows,
+        score_rows=data.countries,
         converged=converged,
     )
 
@@ -459,13 +435,13 @@ def synthesize_known_factors(
     n: int,
     noise: float = 0.3,
     seed: int = 0,
-) -> tuple[VariableMatrix, np.ndarray]:
+) -> tuple[IndicatorPanel, np.ndarray]:
     """Deterministic synthetic data with a known factor structure.
 
     Draws n x k standard-normal factors and emits
     ``factors @ loadings.T + noise * eps``, where each variable loads 0.8
-    on one factor, assigned round-robin. Returns the data and the
-    generating loadings.
+    on one factor, assigned round-robin. Returns the data, a matrix of
+    ``epoch`` 0, and the generating loadings.
     """
     if not (p >= k >= 1) or n <= p:
         raise DomainError(f"need p >= k >= 1 and n > p, got p={p}, k={k}, n={n}")
@@ -480,14 +456,15 @@ def synthesize_known_factors(
     grid = factors @ lam.T + noise * rng.standard_normal((n, p))
     rows = tuple(f"obs{i:04d}" for i in range(n))
     variables = tuple(f"v{j:02d}" for j in range(p))
-    return VariableMatrix(rows=rows, variables=variables, values=grid), lam
+    return IndicatorPanel(epoch=0, countries=rows, indicators=variables, values=grid), lam
 
 
-def load_variable_matrix(path) -> VariableMatrix:
-    """Read a ``country,<variable ids...>`` CSV with the same checks and
-    missing-value rule as ``panel.load_panel``; empty cells are missing."""
+def load_variable_matrix(path) -> IndicatorPanel:
+    """Read a ``country,<variable ids...>`` CSV, with the same checks and
+    missing-value rule as ``panel.load_panel``, into a matrix of ``epoch``
+    0 whose ``indicators`` are the variables; empty cells are missing."""
     variables, rows, values = _read_grid(path)
-    return VariableMatrix(rows=tuple(rows), variables=tuple(variables), values=values)
+    return IndicatorPanel(epoch=0, countries=rows, indicators=variables, values=values)
 
 
 def congruence(a: np.ndarray, b: np.ndarray) -> float:

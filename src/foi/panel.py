@@ -26,26 +26,10 @@ from .errors import DuplicateCountryError, FoiError, PanelParseError, SchemaErro
 from .manifest import IndicatorManifest
 
 
-def _frozen_grid(values) -> np.ndarray:
-    """``values`` as a read-only float array. A read-only float64 array
-    that owns its memory, as the readers and ``rescale_panel`` pass, is
-    taken as is; anything else is copied, so a later write to the
-    caller's array cannot reach the panel."""
-    if (
-        isinstance(values, np.ndarray)
-        and values.dtype == np.float64
-        and values.flags.owndata
-        and not values.flags.writeable
-    ):
-        return values
-    grid = np.array(values, dtype=float)
-    grid.setflags(write=False)
-    return grid
-
-
 @dataclass(frozen=True)
 class IndicatorPanel:
-    """Raw values for one epoch.
+    """Raw values for one epoch, or, with ``epoch`` 0, a factor analysis's
+    variables (``indicators``) observed on its rows (``countries``).
 
     ``values[i, j]`` is the value of indicator ``indicators[j]`` for
     country ``countries[i]``; ``nan`` means missing.
@@ -59,8 +43,15 @@ class IndicatorPanel:
     def __post_init__(self):
         object.__setattr__(self, "countries", tuple(self.countries))
         object.__setattr__(self, "indicators", tuple(self.indicators))
-        grid = _frozen_grid(self.values)
-        object.__setattr__(self, "values", grid)
+        grid = self.values
+        # a read-only float64 array that owns its memory, as the readers and
+        # ``rescale_panel`` pass, is taken as is; anything else is copied, so
+        # a later write to the caller's array cannot reach the panel
+        if not (isinstance(grid, np.ndarray) and grid.dtype == np.float64 and grid.flags.owndata
+                and not grid.flags.writeable):
+            grid = np.array(grid, dtype=float)
+            grid.setflags(write=False)
+            object.__setattr__(self, "values", grid)
         if len(set(self.countries)) != len(self.countries):
             raise DuplicateCountryError("duplicate country codes in panel")
         if grid.shape != (len(self.countries), len(self.indicators)):

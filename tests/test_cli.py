@@ -322,6 +322,17 @@ def test_factors_on_one_variable_is_an_input_error(capsys, tmp_path):
     assert "needs at least two variables" in err
 
 
+@pytest.mark.parametrize("flags", [(), ("--auto-k",)])
+@pytest.mark.parametrize("missing", ["pairwise", "listwise"])
+def test_factors_on_no_variable_is_one_error_line(capsys, tmp_path, missing, flags):
+    # a header of `country` alone: Bartlett's test rejects p = 0 in both
+    # modes, where pairwise deletion took the minimum of no pair counts
+    path = tmp_path / "none.csv"
+    path.write_text("country\n" + "".join(f"C{i}\n" for i in range(10)))
+    code, out, err = run(capsys, "factors", "--panel", str(path), "--missing", missing, *flags)
+    assert (code, out, err) == (1, "", "foi factors: Bartlett's test needs at least two variables, got 0\n")
+
+
 SRC = str(Path(foi.__file__).resolve().parents[1])
 
 
@@ -365,8 +376,8 @@ def test_factors_loads_no_scipy_when_the_p_value_underflows(tmp_path, missing):
     # chi2 = 14 921 on 435 df: the tail bound is e^-6474, so p is 0.0
     data, _ = factor.synthesize_known_factors(p=30, k=3, n=300, seed=0)
     path = tmp_path / "wide.csv"
-    rows = (",".join([code, *map(repr, row)]) for code, row in zip(data.rows, data.values.tolist()))
-    path.write_text("\n".join([",".join(["country", *data.variables]), *rows]) + "\n")
+    rows = (",".join([code, *map(repr, row)]) for code, row in zip(data.countries, data.values.tolist()))
+    path.write_text("\n".join([",".join(["country", *data.indicators]), *rows]) + "\n")
     argv = ["factors", "--panel", str(path), "--factors-k", "3", "--missing", missing]
     code = f"import foi.cli\nassert foi.cli.main({argv!r}) == 0"
     assert _modules_after(code) == "[]"
@@ -602,9 +613,10 @@ def _components(records, columns):
 
 
 @st.composite
-def panel_grid(draw, n, p, components=()):
+def panel_grid(draw, n, p, components=(), rare_constants=False):
     """An n x p grid of cells in eighths, exact in binary, about one in 16
-    missing, with up to two constant columns. Given ``components``, lists
+    missing, with up to two constant columns; with ``rare_constants``,
+    only one grid in eight has any. Given ``components``, lists
     of column positions, seven grids in eight keep an observed cell in
     each column, and of each component in each row, so that more panels
     get past `indices`; the eighth may leave either empty."""
@@ -616,8 +628,9 @@ def panel_grid(draw, n, p, components=()):
                 values[i, draw(st.sampled_from(cols))] = draw(st.integers(-2000, 2000)) / 8
         for j in np.flatnonzero(np.isnan(values).all(axis=0)):
             values[draw(st.integers(0, n - 1)), j] = draw(st.integers(-2000, 2000)) / 8
-    for j in draw(st.sets(st.integers(0, p - 1), max_size=2)):
-        values[:, j] = np.where(np.isnan(values[:, j]), math.nan, 2.5)
+    if p and (not rare_constants or draw(st.integers(0, 7)) == 7):  # 7: see pipeline_inputs
+        for j in draw(st.sets(st.integers(0, p - 1), max_size=2)):
+            values[:, j] = np.where(np.isnan(values[:, j]), math.nan, 2.5)
     return values
 
 
@@ -733,14 +746,17 @@ def test_ingest_indices_shift_and_export_give_the_oracle_answer_or_one_error_lin
 
 
 @settings(max_examples=100)
-@given(st.integers(2, 5), st.integers(3, 10), st.data())
+# one file in ten has no variable or one (9, not 0: see pipeline_inputs)
+@given(st.integers(0, 9).flatmap(lambda c: st.integers(0, 1) if c == 9 else st.integers(2, 5)), st.integers(3, 12), st.data())
 def test_factors_give_the_oracle_answer_or_one_error_line(p, n, data):
     # codes unique by their number, some quoted (a comma, a quote) or not
-    # ASCII; a k in [1, p] or `--auto-k`; with and without Kaiser normalization
+    # ASCII; no, one or more variables, few of them constant, as `factors`
+    # rejects every constant column; a k in [1, p] or `--auto-k`; with and
+    # without Kaiser normalization
     codes = [f"C{i}" + data.draw(st.sampled_from(["", ",", '"', "é"])) for i in range(n)]
-    columns, values = [f"x{j}" for j in range(p)], data.draw(panel_grid(n, p))
+    columns, values = [f"x{j}" for j in range(p)], data.draw(panel_grid(n, p, rare_constants=True))
     missing = data.draw(st.sampled_from(["pairwise", "listwise"]))
-    k = data.draw(st.none() | st.integers(1, p))
+    k = data.draw(st.none() | st.integers(1, max(p, 1)))
     flags = (["--auto-k"] if k is None else ["--factors-k", str(k)]) + data.draw(st.sampled_from([[], ["--no-kaiser"]]))
     with tempfile.TemporaryDirectory() as tmp:
         _, (panel,) = _write_inputs(tmp, [], codes, columns, values)

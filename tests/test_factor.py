@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import foi
-from foi import factor
+from foi import IndicatorPanel, factor
 from foi.errors import (
     DomainError,
     DuplicateCountryError,
@@ -24,7 +24,6 @@ from foi.errors import (
 from foi.factor import (
     _TAIL_UNDERFLOW_LOG,
     CorrelationMatrix,
-    VariableMatrix,
     _chi2_upper_tail,
     _orient_signs,
     bartlett_test,
@@ -50,7 +49,7 @@ def vm(values, rows=None, variables=None):
     values = np.asarray(values, dtype=float)
     rows = rows or tuple(f"r{i}" for i in range(values.shape[0]))
     variables = variables or tuple(f"v{j}" for j in range(values.shape[1]))
-    return VariableMatrix(rows=tuple(rows), variables=tuple(variables), values=values)
+    return IndicatorPanel(epoch=0, countries=rows, indicators=variables, values=values)
 
 
 def corr_from(matrix, variables=None):
@@ -138,7 +137,7 @@ def correlation_loop(data, missing="pairwise"):
     if missing == "listwise":
         grid = grid[(~np.isnan(grid)).all(axis=1)]
     grid = np.ldexp(grid, -np.frexp(np.nanmax(np.abs(grid), axis=0, initial=0.0))[1])
-    p = len(data.variables)
+    p = len(data.indicators)
     r = np.eye(p)
     counts = np.zeros((p, p), dtype=int)
     for j in range(p):
@@ -146,7 +145,7 @@ def correlation_loop(data, missing="pairwise"):
         obs = col[~np.isnan(col)]
         counts[j, j] = obs.size
         if obs.size and (obs.min() == obs.max() or obs.std() == 0.0):
-            raise DomainError(f"variable {data.variables[j]!r} has zero variance")
+            raise DomainError(f"variable {data.indicators[j]!r} has zero variance")
     for a in range(p):
         for b in range(a + 1, p):
             ok = ~np.isnan(grid[:, a]) & ~np.isnan(grid[:, b])
@@ -154,12 +153,12 @@ def correlation_loop(data, missing="pairwise"):
             if counts[a, b] < 3:
                 raise DomainError(
                     f"fewer than 3 complete observations for pair "
-                    f"({data.variables[a]!r}, {data.variables[b]!r})"
+                    f"({data.indicators[a]!r}, {data.indicators[b]!r})"
                 )
             x, y = grid[ok, a], grid[ok, b]
             if x.min() == x.max() or y.min() == y.max() or x.std() == 0.0 or y.std() == 0.0:
                 raise DomainError(
-                    f"zero variance in pair ({data.variables[a]!r}, {data.variables[b]!r})"
+                    f"zero variance in pair ({data.indicators[a]!r}, {data.indicators[b]!r})"
                 )
             r[a, b] = r[b, a] = float(((x - x.mean()) * (y - y.mean())).mean() / (x.std() * y.std()))
     return r, counts
@@ -420,7 +419,9 @@ def test_p_value_bitwise_equals_chi2_sf_on_demo_panel(missing):
 
     data = load_variable_matrix(FA_PANEL)
     r = correlation_matrix(data, missing=missing)
-    res = bartlett_test(r, n=data.n if missing == "listwise" else int(r.pair_counts.min()))
+    # listwise n counted from the grid, not from the pair counts the fit uses
+    complete_rows = int((~np.isnan(data.values)).all(axis=1).sum())
+    res = bartlett_test(r, n=complete_rows if missing == "listwise" else int(r.pair_counts.min()))
     assert res.p_value == chi2.sf(res.chi_square, res.df)
 
 
@@ -551,6 +552,38 @@ def test_sign_orientation():
     for j in range(2):
         col = loadings[:, j]
         assert col[np.argmax(np.abs(col))] > 0
+
+
+def orient_signs_loop(loadings):
+    """The per-column loop ``_orient_signs`` replaced: the oracle for its
+    flips."""
+    flips = np.ones(loadings.shape[1])
+    for j in range(loadings.shape[1]):
+        col = loadings[:, j]
+        if col[np.argmax(np.abs(col))] < 0:
+            flips[j] = -1.0
+    return flips
+
+
+@st.composite
+def tied_loadings(draw):
+    """A p x k matrix, k >= 1, C- or Fortran-ordered, of cells drawn from
+    a few magnitudes of either sign, ``-0.0`` and ``nan``, so that columns
+    hold exact magnitude ties of opposite sign; some columns all zero."""
+    p, k = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    cells = st.sampled_from([0.5, -0.5, 1.0, -1.0, 0.0, -0.0, math.nan]) | st.floats(-2.0, 2.0)
+    loadings = draw(hnp.arrays(float, (p, k), elements=cells))
+    for j in draw(st.sets(st.integers(0, k - 1), max_size=k)):
+        loadings[:, j] = 0.0
+    return np.asfortranarray(loadings) if draw(st.booleans()) else loadings
+
+
+@settings(max_examples=300)
+@given(tied_loadings())
+@example(np.array([[0.5, 0.0, math.nan], [-0.5, 0.0, -1.0], [0.25, 0.0, 1.0]]))
+def test_orient_signs_equals_the_column_loop_bitwise(loadings):
+    got, want = _orient_signs(loadings), orient_signs_loop(loadings)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_k_out_of_range():
@@ -875,9 +908,10 @@ def _permuted_fit_differences(data, k, missing, rows, cols):
     difference once the permuted outputs are moved back (0.0 when both
     fits raise the same error)."""
     rows, cols = list(rows), list(cols)
-    moved = VariableMatrix(
-        rows=[data.rows[i] for i in rows],
-        variables=[data.variables[j] for j in cols],
+    moved = IndicatorPanel(
+        epoch=0,
+        countries=[data.countries[i] for i in rows],
+        indicators=[data.indicators[j] for j in cols],
         values=data.values[np.ix_(rows, cols)],
     )
     try:
@@ -887,7 +921,7 @@ def _permuted_fit_differences(data, k, missing, rows, cols):
             fit_factor_model(moved, k=k, missing=missing)
         return 0.0
     got = fit_factor_model(moved, k=k, missing=missing)
-    assert got.variables == moved.variables and got.score_rows == moved.rows
+    assert got.variables == moved.indicators and got.score_rows == moved.countries
     assert got.bartlett.df == want.bartlett.df
     assert np.array_equal(np.isnan(got.scores), np.isnan(want.scores[rows]))
     complete = ~np.isnan(got.scores)
@@ -914,7 +948,7 @@ def permuted_factor_data(draw):
     holes = draw(st.sampled_from([0.0, 0.01, 0.05]))
     grid = np.array(data.values)
     grid[np.random.default_rng(seed).random(grid.shape) < holes] = np.nan
-    data = VariableMatrix(rows=data.rows, variables=data.variables, values=grid)
+    data = IndicatorPanel(epoch=0, countries=data.countries, indicators=data.indicators, values=grid)
     return data, k, draw(st.permutations(range(n))), draw(st.permutations(range(p)))
 
 
@@ -932,7 +966,7 @@ def test_fit_permutes_with_rows_and_columns(case, missing):
 def test_fit_permutes_with_rows_and_columns_on_demo_panel(k, missing):
     data = load_variable_matrix(FA_PANEL)
     rng = np.random.default_rng(k)
-    rows, cols = rng.permutation(len(data.rows)), rng.permutation(len(data.variables))
+    rows, cols = rng.permutation(len(data.countries)), rng.permutation(len(data.indicators))
     assert _permuted_fit_differences(data, k, missing, rows, cols) <= 1e-9
 
 
@@ -941,7 +975,7 @@ def test_two_variable_factors_follow_column_position():
     # sign rule falls to the first row: the first rotated factor is the
     # one the first column loads on, and a column swap swaps the factors
     data, _ = synthesize_known_factors(p=2, k=2, n=12, seed=0)
-    swapped = VariableMatrix(rows=data.rows, variables=data.variables[::-1], values=data.values[:, ::-1])
+    swapped = IndicatorPanel(0, data.countries, data.indicators[::-1], data.values[:, ::-1])
     want, got = fit_factor_model(data, k=2), fit_factor_model(swapped, k=2)
     assert np.allclose(want.rotated_loadings, [[0.995, 0.098], [0.098, 0.995]], atol=5e-4)
     assert np.allclose(got.rotated_loadings[::-1], want.rotated_loadings[:, ::-1], rtol=0, atol=1e-12)
@@ -998,7 +1032,7 @@ def test_variable_matrix_drops_a_byte_order_mark_before_the_header(tmp_path):
     path = tmp_path / "vars.csv"
     path.write_bytes(b"\xef\xbb\xbfcountry,a,b\nX,1,2\nY,3,\n")
     data = load_variable_matrix(path)
-    assert (data.rows, data.variables) == (("X", "Y"), ("a", "b"))
+    assert (data.countries, data.indicators) == (("X", "Y"), ("a", "b"))
     assert np.array_equal(data.values, [[1.0, 2.0], [3.0, np.nan]], equal_nan=True)
 
 
@@ -1009,8 +1043,8 @@ def test_variable_matrix_drops_a_byte_order_mark_before_the_header(tmp_path):
 def test_factors_output_does_not_depend_on_the_cpu_count(tmp_path):
     data, _ = synthesize_known_factors(p=60, k=5, n=400, seed=7)
     path = tmp_path / "wide.csv"
-    rows = (",".join([code, *map(repr, row)]) for code, row in zip(data.rows, data.values.tolist()))
-    path.write_text("\n".join([",".join(["country", *data.variables]), *rows]) + "\n")
+    rows = (",".join([code, *map(repr, row)]) for code, row in zip(data.countries, data.values.tolist()))
+    path.write_text("\n".join([",".join(["country", *data.indicators]), *rows]) + "\n")
     env = dict({k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}, PYTHONPATH=SRC)
     argv = [sys.executable, "-m", "foi.cli", "factors", "--panel", str(path), "--factors-k", "5", "--out", "-"]
     cpu = min(os.sched_getaffinity(0))
