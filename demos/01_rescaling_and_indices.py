@@ -14,6 +14,7 @@ from foi import (
     load_panel,
     rank_countries,
     rescale_panel,
+    rescale_rule,
     validate_panel,
 )
 from foi.report import render_scores
@@ -33,7 +34,7 @@ for warning in report.warnings:
     print("warning:", warning)
 
 # every column lands on [1, 7] with both endpoints attained
-rescaled = rescale_panel(panel, manifest)
+rescaled = rescale_panel(panel, rescale_rule(panel, manifest))
 print("\nrescaled value range (ignoring missing cells):",
       np.nanmin(rescaled.values), "to", np.nanmax(rescaled.values))
 

@@ -14,6 +14,7 @@ from foi import (
     load_panel,
     rank_countries,
     rescale_panel,
+    rescale_rule,
     shift_report,
 )
 from foi.report import render_assignments, render_shift
@@ -24,7 +25,7 @@ manifest = default_manifest()
 
 def assignments_for(name, epoch):
     panel = load_panel(str(data / name), manifest, epoch=epoch)
-    scores = rank_countries(compute_pillar_scores(rescale_panel(panel, manifest), manifest))
+    scores = rank_countries(compute_pillar_scores(rescale_panel(panel, rescale_rule(panel, manifest)), manifest))
     return classify_epoch(scores)
 
 

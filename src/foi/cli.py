@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-import warnings
+from itertools import compress
 
 import numpy as np
 
@@ -25,11 +25,11 @@ from .classify import (
     shift_report,
     unclassifiable,
 )
-from .errors import DataWarning, FoiError, SchemaError, SingularMatrixError, UndefinedStatisticError
+from .errors import FoiError, SchemaError, SingularMatrixError, UndefinedStatisticError
 from .manifest import PILLARS, _read_json, default_manifest, load_manifest
 from .panel import load_panel, validate_panel, write_panel
 from .reference import verify_reference
-from .rescale import rescale_panel, rescale_rule
+from .rescale import SCALE_MID, rescale_panel, rescale_rule
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -110,9 +110,19 @@ def _manifest(args):
     return load_manifest(args.manifest) if args.manifest else default_manifest()
 
 
-def _scores_for(panel_path, manifest, epoch, missing_policy):
-    panel = load_panel(panel_path, manifest, epoch=epoch)
+def _rule_for(command, panel, manifest, where=""):
+    """The panel's rescale rule; a warning line, after ``where``, names
+    the columns it maps to 4.0 as constant."""
     rule = rescale_rule(panel, manifest)
+    if rule.constant.any():
+        names = ", ".join(compress(panel.indicators, rule.constant))
+        _warn(command, f"{where}constant columns mapped to {SCALE_MID}: {names}")
+    return rule
+
+
+def _scores_for(command, panel_path, manifest, epoch, missing_policy, where=""):
+    panel = load_panel(panel_path, manifest, epoch=epoch)
+    rule = _rule_for(command, panel, manifest, where)
     scores = pillar.compute_pillar_scores(panel, manifest, missing_policy=missing_policy, rescale=rule)
     return pillar.rank_countries(scores)
 
@@ -151,18 +161,19 @@ def cmd_ingest(args) -> int:
 
 def cmd_rescale(args) -> int:
     manifest = _manifest(args)
-    write_panel(rescale_panel(load_panel(args.panel, manifest, epoch=args.epoch), manifest), args.out)
+    panel = load_panel(args.panel, manifest, epoch=args.epoch)
+    write_panel(rescale_panel(panel, _rule_for(args.command, panel, manifest)), args.out)
     return EXIT_OK
 
 
 def cmd_indices(args) -> int:
-    scores = _scores_for(args.panel, _manifest(args), args.epoch, args.missing_policy)
+    scores = _scores_for(args.command, args.panel, _manifest(args), args.epoch, args.missing_policy)
     report.write_text(report.render_scores(scores, args.format), args.out)
     return EXIT_OK
 
 
 def cmd_classify(args) -> int:
-    scores = _scores_for(args.panel, _manifest(args), args.epoch, args.missing_policy)
+    scores = _scores_for(args.command, args.panel, _manifest(args), args.epoch, args.missing_policy)
     assignments = classify_epoch(scores, threshold=args.threshold, epsilon=args.epsilon)
     _warn_left_out(args.command, unclassifiable(scores))
     report.write_text(report.render_assignments(assignments, args.format), args.out)
@@ -171,13 +182,8 @@ def cmd_classify(args) -> int:
 
 def cmd_shift(args) -> int:
     manifest = _manifest(args)
-    epochs = []
-    for path, epoch in ((args.panel_a, args.epoch_a), (args.panel_b, args.epoch_b)):
-        with warnings.catch_warnings():
-            # a warning raised while a panel is scored names the panel
-            show = warnings.showwarning
-            warnings.showwarning = lambda message, *rest: show(f"{path}: {message}", *rest)
-            epochs.append(_scores_for(path, manifest, epoch, args.missing_policy))
+    epochs = [_scores_for(args.command, path, manifest, epoch, args.missing_policy, f"{path}: ")
+              for path, epoch in ((args.panel_a, args.epoch_a), (args.panel_b, args.epoch_b))]
     # compare the panels' countries before leaving out the unclassifiable
     # ones, which could otherwise hide a country missing from one panel
     check_same_countries(epochs[0].countries, epochs[1].countries)
@@ -314,33 +320,24 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    with warnings.catch_warnings():
-        # each DataWarning of the library is one "foi <verb>: warning:" line
-        warnings.simplefilter("always", DataWarning)
-        show = warnings.showwarning
-        warnings.showwarning = lambda message, category, *rest: (
-            _warn(args.command, message)
-            if issubclass(category, DataWarning)
-            else show(message, category, *rest)
-        )
-        try:
-            status = COMMANDS[args.command](args)
-            sys.stdout.flush()
-            return status
-        except BrokenPipeError:
-            # the reader of the output left (`foi rescale | head`): end
-            # quietly, with stdout on /dev/null so that the flush at exit
-            # cannot fail again
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            return EXIT_PIPE
-        except (SingularMatrixError, UndefinedStatisticError) as exc:
-            print(f"foi {args.command}: numerical failure: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
-        except (FoiError, OSError, json.JSONDecodeError) as exc:
-            print(f"foi {args.command}: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+    try:
+        status = COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader of the output left (`foi rescale | head`): end
+        # quietly, with stdout on /dev/null so that the flush at exit
+        # cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
+    except (SingularMatrixError, UndefinedStatisticError) as exc:
+        print(f"foi {args.command}: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except (FoiError, OSError, json.JSONDecodeError) as exc:
+        print(f"foi {args.command}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

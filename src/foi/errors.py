@@ -54,8 +54,3 @@ class UndefinedStatisticError(FoiError):
 
 class FixtureIntegrityError(FoiError):
     """An embedded reference fixture failed its checksum."""
-
-
-class DataWarning(UserWarning):
-    """A non-fatal data-quality fact: the result is computed, but it
-    rests on data the user should know about (a constant column)."""

@@ -301,8 +301,8 @@ def varimax_rotate(
     the last sweep: the sign rule leaves every square as it was.
     """
     lam = np.array(loadings, dtype=float)
-    if lam.ndim != 2 or lam.shape[1] < 1:
-        raise DomainError("loadings must be a p x k matrix with k >= 1")
+    if lam.ndim != 2 or 0 in lam.shape:
+        raise DomainError("loadings must be a p x k matrix with p, k >= 1")
     p, k = lam.shape
     comm = np.sqrt((lam**2).sum(axis=1))
     if kaiser_normalize:

@@ -6,12 +6,11 @@ the indicator's direction flag. Extremes are taken over the countries in
 the panel at hand, so the scale is relative to the analyzed set.
 """
 
-import warnings
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataWarning, DomainError, EmptyColumnError
+from .errors import DomainError, EmptyColumnError, SchemaError
 from .manifest import IndicatorManifest
 from .panel import IndicatorPanel
 
@@ -32,8 +31,11 @@ class RescaleRule(NamedTuple):
 
     def apply(self, values: np.ndarray, out: np.ndarray) -> None:
         """Rescale the rows of ``values`` into ``out``, which may be
-        ``values``. A missing cell stays ``nan`` through the arithmetic;
-        only the constant columns need 4.0 put back."""
+        ``values``, with a column for each of the rule's. A missing cell
+        stays ``nan`` through the arithmetic; only the constant columns
+        need 4.0 put back."""
+        if values.shape[-1] != len(self.sub):
+            raise SchemaError(f"a rescale rule of {len(self.sub)} columns cannot rescale {values.shape[-1]} columns")
         missing = np.isnan(values[..., self.constant])  # read before out is written
         np.subtract(values, self.sub, out=out)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -81,19 +83,17 @@ def min_max_rescale(values, direction: str) -> np.ndarray:
 def rescale_rule(panel: IndicatorPanel, manifest: IndicatorManifest) -> RescaleRule:
     """The rule that rescales every column of a panel by its manifest
     direction. The first column with no observed value, or whose span
-    overflows, raises ``EmptyColumnError`` or ``DomainError``; constant
-    columns, mapped to 4.0, are named in one ``DataWarning``."""
+    overflows, raises ``EmptyColumnError`` or ``DomainError``. The
+    rule's ``constant`` marks the columns whose observed values are all
+    equal, which map to 4.0."""
     lower = [manifest.by_id(ind).direction == "lower_is_better" for ind in panel.indicators]
-    rule = _fold(panel.values, np.array(lower, dtype=bool), [f"indicator {ind!r}" for ind in panel.indicators])
-    if rule.constant.any():
-        names = ", ".join(ind for ind, c in zip(panel.indicators, rule.constant) if c)
-        warnings.warn(f"constant columns mapped to {SCALE_MID}: {names}", DataWarning, stacklevel=2)
-    return rule
+    return _fold(panel.values, np.array(lower, dtype=bool), [f"indicator {ind!r}" for ind in panel.indicators])
 
 
-def rescale_panel(panel: IndicatorPanel, manifest: IndicatorManifest) -> IndicatorPanel:
-    """Rescale every column of a panel by ``rescale_rule``, into a new grid."""
+def rescale_panel(panel: IndicatorPanel, rule: RescaleRule) -> IndicatorPanel:
+    """Rescale every column of a panel by ``rule`` (as ``rescale_rule``
+    gives it), into a new grid."""
     grid = np.empty_like(panel.values)
-    rescale_rule(panel, manifest).apply(panel.values, grid)
+    rule.apply(panel.values, grid)
     grid.setflags(write=False)  # the panel takes it without a copy
     return IndicatorPanel(panel.epoch, panel.countries, panel.indicators, grid)

@@ -26,7 +26,7 @@ from foi.classify import CLUSTER_LABELS, CLUSTER_LEVELS
 from foi.cli import main
 from foi.manifest import DIRECTIONS, default_manifest
 from foi.panel import load_panel
-from foi.rescale import rescale_panel
+from foi.rescale import rescale_panel, rescale_rule
 
 DATA = resources.files("foi.data")
 PANEL_2010 = str(DATA / "demo_panel_2010.csv")
@@ -265,8 +265,9 @@ def test_infinite_cell_is_input_error(capsys, tmp_path):
 
 def _strict_left_out(path):
     manifest = default_manifest()
+    panel = load_panel(path, manifest)
     scores = pillar.compute_pillar_scores(
-        rescale_panel(load_panel(path, manifest), manifest), manifest, missing_policy="strict"
+        rescale_panel(panel, rescale_rule(panel, manifest)), manifest, missing_policy="strict"
     )
     missing = np.isnan(np.column_stack(list(scores.index.values()))).any(axis=1)
     return {code for code, m in zip(scores.countries, missing) if m}
@@ -656,20 +657,40 @@ def _main_in_process(*argv):
     return status, out.getvalue(), err.getvalue().splitlines()
 
 
-def _answer_or_one_error_line(verb, *argv):
-    """Run ``foi verb argv`` in process. On exit 0, return its stdout,
-    with no stderr line but ``DataWarning`` lines; otherwise check that it
-    exited 1 or 2 with no stdout and one error line after any warning
-    lines, and return None."""
+def _answer_or_one_error_line(verb, *argv, warned=(), optional=()):
+    """Run ``foi verb argv`` in process. Its warning lines, less any that
+    starts with one of ``optional``, must be ``warned`` on exit 0, and a
+    leading part of ``warned`` otherwise, as an error ends the run where
+    it arises. On exit 0, return its stdout, with no other stderr line;
+    otherwise check that it exited 1 or 2 with no stdout and one error
+    line, the last, and return None."""
     status, out, err = _main_in_process(verb, *argv)
-    # a DataWarning (constant columns) is a line of its own
-    errors = [line for line in err if not line.startswith(f"foi {verb}: warning: ")]
+    warning = f"foi {verb}: warning: "
+    errors = [line for line in err if not line.startswith(warning)]
+    shown = [line for line in err if line.startswith(warning) and not line.startswith(optional)]
     if status == 0:
-        assert not errors, err
+        assert not errors and shown == list(warned), err
         return out
     assert status in (1, 2) and not out, (status, err)
+    assert shown == list(warned[: len(shown)]), err
     assert len(errors) == 1 and errors[0] == err[-1] and errors[0].startswith(f"foi {verb}: "), err
     return None
+
+
+def _constant_lines(verb, truths, prefixes=("",)):
+    """The warning lines of ``foi verb`` on the panels of ``truths``: for
+    each with a constant column (its observed cells all equal, if only
+    one), a line that names those columns in manifest order, after the
+    panel's prefix; up to the first panel with an empty column, on which
+    the run ends."""
+    lines = []
+    for truth, prefix in zip(truths, prefixes):
+        observed = [set(col[~np.isnan(col)].tolist()) for col in truth.raw.T]
+        if not all(observed):
+            break
+        if names := [ind for ind, seen in zip(truth.ids, observed) if len(seen) == 1]:
+            lines.append(f"foi {verb}: warning: {prefix}constant columns mapped to 4.0: {', '.join(names)}")
+    return lines
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="only Linux splits the writer and the aggregate")
@@ -684,13 +705,16 @@ def test_rescale_and_classify_give_the_oracle_answer_or_one_error_line(inputs, c
         monkeypatch.setattr(pillar, "_SPLIT_MIN_CELLS", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         manifest, (panel,) = _write_inputs(tmp, records, codes, columns, values)
+        truth = oracle.PanelTruth.build(records, codes, columns, values)
         for verb, extra, check in (
             ("rescale", ("--out", "-"), oracle.check_rescaled_csv),
             ("classify", ("--format", "json"), oracle.check_classify_json),
         ):
-            out = _answer_or_one_error_line(verb, "--panel", panel, "--manifest", manifest, *extra)
+            out = _answer_or_one_error_line(
+                verb, "--panel", panel, "--manifest", manifest, *extra, warned=_constant_lines(verb, [truth])
+            )
             if out is not None:
-                check(out, oracle.PanelTruth.build(records, codes, columns, values))
+                check(out, truth)
 
 
 @settings(max_examples=60)
@@ -709,18 +733,23 @@ def test_ingest_indices_shift_and_export_give_the_oracle_answer_or_one_error_lin
         if out is not None:
             oracle.check_ingest_json(out, truth[0])
         out = _answer_or_one_error_line(
-            "shift", "--panel-a", panel_a, "--panel-b", panel_b, "--manifest", manifest, "--format", "csv"
+            "shift", "--panel-a", panel_a, "--panel-b", panel_b, "--manifest", manifest, "--format", "csv",
+            warned=_constant_lines("shift", truth, [f"{panel_a}: ", f"{panel_b}: "]),
         )
         if out is not None:
             oracle.check_shift_csv(out, *truth)
         scored = (*common, "--missing-policy", policy)
-        if _answer_or_one_error_line("indices", *scored, "--out", scores) is None:
+        if _answer_or_one_error_line("indices", *scored, "--out", scores, warned=_constant_lines("indices", truth)) is None:
             return
         text = Path(scores).read_text(encoding="utf-8")
         if policy == "available_mean":  # the only policy the oracle knows
             oracle.check_indices_json(text, truth[0])
             oracle.check_export_csv(_answer_or_one_error_line("export", "--in", scores, "--format", "csv"), json.loads(text))
-        assert _answer_or_one_error_line("classify", *scored, "--out", assignments) == ""
+        # under `strict`, a line may name the countries left out
+        left_out = ("foi classify: warning: left out ",) if policy == "strict" else ()
+        assert _answer_or_one_error_line(
+            "classify", *scored, "--out", assignments, warned=_constant_lines("classify", truth), optional=left_out
+        ) == ""
         for path, section in ((scores, "scores"), (assignments, "assignments")):
             # an emitted document exports to the same bytes
             text = Path(path).read_text(encoding="utf-8")
@@ -761,7 +790,10 @@ def test_factors_give_the_oracle_answer_or_one_error_line(p, n, data):
     with tempfile.TemporaryDirectory() as tmp:
         _, (panel,) = _write_inputs(tmp, [], codes, columns, values)
         scores = os.path.join(tmp, "scores.csv")
-        out = _answer_or_one_error_line("factors", "--panel", panel, "--missing", missing, "--scores-out", scores, *flags)
+        out = _answer_or_one_error_line(
+            "factors", "--panel", panel, "--missing", missing, "--scores-out", scores, *flags,
+            optional=("foi factors: warning: varimax rotation did not converge;",),
+        )
         if out is None:
             return
         # exit 0: the complete rows vary in every column, so R is finite in both modes

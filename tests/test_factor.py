@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -756,6 +757,17 @@ def test_zero_communality_row_named():
     lam = np.array([[0.9, 0.1], [0.0, 0.0]])
     with pytest.raises(DomainError, match="beta"):
         varimax_rotate(lam, variables=("alpha", "beta"))
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (0, 1), (3, 0), (0, 0)])
+@pytest.mark.parametrize("kaiser", [True, False])
+def test_loadings_with_no_row_or_column_are_a_domain_error(shape, kaiser):
+    # with no row, the criterion divided by p = 0 and the sign rule took
+    # the argmax of an empty column
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"^loadings must be a p x k matrix with p, k >= 1$"):
+            varimax_rotate(np.empty(shape), kaiser_normalize=kaiser)
 
 
 def test_criterion_non_decreasing_per_sweep():

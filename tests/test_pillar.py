@@ -314,7 +314,7 @@ def test_indices_invariant_under_csv_row_and_column_permutation(rnd, policy):
 
 def scores_of(path, manifest, policy):
     panel = load_panel(path, manifest)
-    return compute_pillar_scores(rescale_panel(panel, manifest), manifest, missing_policy=policy)
+    return compute_pillar_scores(rescale_panel(panel, rescale_rule(panel, manifest)), manifest, missing_policy=policy)
 
 
 def classified_run(panel, manifest, tmp):
@@ -323,7 +323,7 @@ def classified_run(panel, manifest, tmp):
     path = Path(tmp) / f"panel{len(list(Path(tmp).iterdir()))}.csv"
     write_panel(panel, path)
     loaded = load_panel(path, manifest)
-    scores = compute_pillar_scores(rescale_panel(loaded, manifest), manifest)
+    scores = compute_pillar_scores(rescale_panel(loaded, rescale_rule(loaded, manifest)), manifest)
     return scores, {a.country: a.cluster_id for a in classify_epoch(scores)}
 
 
@@ -414,7 +414,7 @@ def _scores_outcome(run):
 
 def rescaled_grid_outcome(manifest, panel, policy):
     return _scores_outcome(
-        lambda: compute_pillar_scores(rescale_panel(panel, manifest), manifest, missing_policy=policy)
+        lambda: compute_pillar_scores(rescale_panel(panel, rescale_rule(panel, manifest)), manifest, missing_policy=policy)
     )
 
 
@@ -456,10 +456,10 @@ def test_split_aggregate_equals_aggregating_the_rescaled_grid_bitwise(case, poli
 # bytes of the frame of `panel._send`, its 8-byte length and then its
 # result's bytes, and exits 3.
 _SPLIT_AGGREGATE = """
-import hashlib, json, os, signal, sys, warnings
+import hashlib, json, os, signal, sys
 import numpy as np
 from foi import panel, pillar
-from foi.errors import AggregationError, DataWarning
+from foi.errors import AggregationError
 from foi.manifest import default_manifest
 from foi.rescale import rescale_rule
 case = sys.argv[1]
@@ -470,7 +470,6 @@ grid[rng.random(grid.shape) < 0.05] = np.nan
 grid[:, 0] = 2.5  # a constant column
 grid[5500, [j for j, ind in enumerate(manifest.ids) if manifest.by_id(ind).pillar == "O"]] = np.nan
 raw = panel.IndicatorPanel(2020, [f"C{i:04d}" for i in range(len(grid))], manifest.ids, grid)
-warnings.simplefilter("ignore", DataWarning)
 fds = sorted(os.listdir("/proc/self/fd"))
 os.sched_getaffinity = lambda pid: {0, 1, 2}
 pillar._SPLIT_MIN_CELLS = 1

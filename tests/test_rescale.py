@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,13 +7,19 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from foi.errors import DomainError, EmptyColumnError
+from foi.errors import DomainError, EmptyColumnError, SchemaError
+from foi.pillar import compute_pillar_scores
 from foi.rescale import min_max_rescale, rescale_panel, rescale_rule
 
 from conftest import make_manifest, make_panel
 
 finite = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False)
 moderate = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
+
+
+def rescaled(panel, manifest):
+    """``panel`` rescaled by its manifest directions."""
+    return rescale_panel(panel, rescale_rule(panel, manifest))
 
 
 def test_endpoints_higher_is_better():
@@ -80,15 +87,15 @@ def test_panel_columns_scale_invariant():
     grid = rng.normal(size=(8, 6))
     scaled = grid.copy()
     scaled[:, 0] *= 10.0
-    a = rescale_panel(make_panel(manifest, grid), manifest)
-    b = rescale_panel(make_panel(manifest, scaled), manifest)
+    a = rescaled(make_panel(manifest, grid), manifest)
+    b = rescaled(make_panel(manifest, scaled), manifest)
     assert np.allclose(a.values, b.values)
 
 
 def test_two_country_panel_spans_range():
     manifest = make_manifest()
     grid = np.array([[1.0, 2, 3, 4, 5, 6], [2.0, 1, 4, 3, 6, 5]])
-    out = rescale_panel(make_panel(manifest, grid), manifest)
+    out = rescaled(make_panel(manifest, grid), manifest)
     assert sorted(out.values[:, 0]) == [1.0, 7.0]
     assert {v for col in out.values.T for v in col} == {1.0, 7.0}
 
@@ -97,7 +104,7 @@ def test_random_panel_column_extremes():
     manifest = make_manifest((9, 5, 10))
     rng = np.random.default_rng(42)
     grid = rng.normal(size=(34, 24)) * rng.uniform(1, 100, size=24)
-    out = rescale_panel(make_panel(manifest, grid), manifest)
+    out = rescaled(make_panel(manifest, grid), manifest)
     # brute-force per-column check
     assert np.allclose(out.values.min(axis=0), 1.0)
     assert np.allclose(out.values.max(axis=0), 7.0)
@@ -107,9 +114,9 @@ def test_permutation_of_countries_moves_values_with_them():
     manifest = make_manifest()
     rng = np.random.default_rng(3)
     grid = rng.normal(size=(6, 6))
-    base = rescale_panel(make_panel(manifest, grid), manifest)
+    base = rescaled(make_panel(manifest, grid), manifest)
     perm = rng.permutation(6)
-    permuted = rescale_panel(
+    permuted = rescaled(
         make_panel(manifest, grid[perm], countries=[f"C{i:02d}" for i in perm]), manifest
     )
     assert np.allclose(permuted.values, base.values[perm])
@@ -120,7 +127,7 @@ def test_empty_column_error_names_indicator():
     grid = np.ones((3, 6))
     grid[:, 2] = np.nan
     with pytest.raises(EmptyColumnError, match="o0"):
-        rescale_panel(make_panel(manifest, grid), manifest)
+        rescaled(make_panel(manifest, grid), manifest)
 
 
 @pytest.mark.parametrize("direction", ["higher_is_better", "lower_is_better"])
@@ -132,7 +139,7 @@ def test_column_whose_span_overflows_is_a_domain_error(direction):
     grid = np.ones((4, 6))
     grid[:, 3] = [1e308, -1e308, 0.0, np.nan]
     with pytest.raises(DomainError, match="^indicator 'o1': the span of its observed values overflows$"):
-        rescale_panel(make_panel(manifest, grid), manifest)
+        rescaled(make_panel(manifest, grid), manifest)
     # a span just under the largest float still rescales
     assert min_max_rescale([1e308, -7.9e307, 0.0], direction).tolist() == (
         [7.0, 1.0, 1.0 + 6.0 * (7.9e307 / (1e308 + 7.9e307))] if direction == "higher_is_better"
@@ -177,9 +184,9 @@ def test_rescale_panel_equals_column_loop_bitwise(data):
     empty = [ind for j, ind in enumerate(panel.indicators) if np.isnan(grid[:, j]).all()]
     if empty:
         with pytest.raises(EmptyColumnError, match=f"^indicator '{empty[0]}' has no observed values$"):
-            rescale_panel(panel, manifest)
+            rescaled(panel, manifest)
         return
-    got = rescale_panel(panel, manifest).values
+    got = rescaled(panel, manifest).values
     for j, ind in enumerate(panel.indicators):
         want = rescale_column_loop(grid[:, j], directions[ind])
         assert got[:, j].tobytes() == want.tobytes()
@@ -220,5 +227,34 @@ def test_folded_rule_equals_column_loop_bitwise(grid, lower):
     for i in range(0, len(grid), 5):
         rule.apply(grid[i : i + 5], blocks[i : i + 5])
     rule.apply(transposed.T, transposed.T)
-    for got in (rescale_panel(panel, manifest).values, in_place, blocks, transposed.T):
+    for got in (rescale_panel(panel, rule).values, in_place, blocks, transposed.T):
         assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_constant_column_is_marked_on_the_rule_and_warns_nothing():
+    manifest = make_manifest()
+    grid = np.arange(24.0).reshape(4, 6)
+    grid[:, 2] = [2.5, np.nan, 2.5, 2.5]
+    grid[1:, 4] = np.nan  # one observed cell: constant too
+    panel = make_panel(manifest, grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rule = rescale_rule(panel, manifest)
+        out = rescale_panel(panel, rule)
+    assert rule.constant.tolist() == [False, False, True, False, True, False]
+    assert out.values[[0, 2, 3], 2].tolist() == [4.0] * 3 and np.isnan(out.values[1, 2])
+
+
+@pytest.mark.parametrize("width", [1, 3, 12])
+def test_rule_of_another_width_is_a_schema_error(width):
+    # a rule built on another panel would otherwise end on numpy's
+    # IndexError: boolean index did not match
+    manifest = make_manifest()
+    panel = make_panel(manifest, np.arange(24.0).reshape(4, 6))
+    other = make_manifest((width, 0, 0))
+    rule = rescale_rule(make_panel(other, np.arange(4.0 * width).reshape(4, width)), other)
+    message = f"^a rescale rule of {width} columns cannot rescale 6 columns$"
+    with pytest.raises(SchemaError, match=message):
+        rescale_panel(panel, rule)
+    with pytest.raises(SchemaError, match=message):
+        compute_pillar_scores(panel, manifest, rescale=rule)
