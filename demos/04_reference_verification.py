@@ -16,6 +16,6 @@ for epoch in (2010, 2020):
           f"published clusters re-derive exactly")
     for m in rep.mismatches:
         kind = "borderline" if m.borderline else "hard"
-        print(f"  {m.country}: computed cluster {m.computed_cluster}, "
-              f"published {m.reference_cluster} ({kind})")
+        print(f"  {m.country}: computed cluster {m.computed}, "
+              f"published {m.reference} ({kind})")
     print()

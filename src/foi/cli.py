@@ -76,9 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("shift", help="compare cluster assignments across two epochs")
     sp.add_argument("--panel-a", required=True, help="earlier epoch panel CSV")
     sp.add_argument("--panel-b", required=True, help="later epoch panel CSV")
-    sp.add_argument("--manifest")
-    sp.add_argument("--epoch-a", type=int, default=0)
-    sp.add_argument("--epoch-b", type=int, default=0)
+    sp.add_argument("--manifest", help="manifest JSON path (default: built-in 24-indicator manifest)")
+    sp.add_argument("--epoch-a", type=int, default=0, help="epoch year label of --panel-a")
+    sp.add_argument("--epoch-b", type=int, default=0, help="epoch year label of --panel-b")
     sp.add_argument("--missing-policy", choices=pillar.MISSING_POLICIES, default="available_mean")
     sp.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     sp.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
@@ -123,8 +123,7 @@ def _rule_for(command, panel, manifest, where=""):
 def _scores_for(command, panel_path, manifest, epoch, missing_policy, where=""):
     panel = load_panel(panel_path, manifest, epoch=epoch)
     rule = _rule_for(command, panel, manifest, where)
-    scores = pillar.compute_pillar_scores(panel, manifest, missing_policy=missing_policy, rescale=rule)
-    return pillar.rank_countries(scores)
+    return pillar.compute_pillar_scores(panel, manifest, missing_policy=missing_policy, rescale=rule)
 
 
 def _warn(command, message):
@@ -168,7 +167,7 @@ def cmd_rescale(args) -> int:
 
 def cmd_indices(args) -> int:
     scores = _scores_for(args.command, args.panel, _manifest(args), args.epoch, args.missing_policy)
-    report.write_text(report.render_scores(scores, args.format), args.out)
+    report.write_text(report.render_scores(pillar.rank_countries(scores), args.format), args.out)
     return EXIT_OK
 
 
@@ -215,28 +214,13 @@ def cmd_factors(args) -> int:
 
 def cmd_verify(args) -> int:
     rep = verify_reference(args.epoch, threshold=args.threshold, epsilon=args.epsilon)
-    payload = {
-        "epoch": rep.epoch,
-        "matches": rep.matches,
-        "countries": rep.country_count,
-        "mismatches": [
-            {
-                "country": m.country,
-                "computed": m.computed_cluster,
-                "reference": m.reference_cluster,
-                "borderline": m.borderline,
-            }
-            for m in rep.mismatches
-        ],
-    }
+    payload = {**rep._asdict(), "countries": rep.country_count, "mismatches": [m._asdict() for m in rep.mismatches]}
 
     def table():
         lines = [f"epoch {rep.epoch}: {rep.matches}/{rep.country_count} match the published clusters"]
         for m in rep.mismatches:
             kind = "borderline" if m.borderline else "hard"
-            lines.append(
-                f"  {m.country}: computed {m.computed_cluster}, published {m.reference_cluster} ({kind})"
-            )
+            lines.append(f"  {m.country}: computed {m.computed}, published {m.reference} ({kind})")
         return lines
 
     report.write_text(report.render(args.format, payload, table), args.out)

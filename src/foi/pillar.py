@@ -67,6 +67,8 @@ def compute_pillar_scores(
     if missing_policy not in MISSING_POLICIES:
         raise DomainError(f"missing_policy must be one of {MISSING_POLICIES}, got {missing_policy!r}")
     p = panel.values.shape[1]
+    if rescale is not None:  # checked here, not per block: a panel with no rows has no block
+        rescale.check_width(p)
     col_of = {ind: j for j, ind in enumerate(panel.indicators)}
     # per pillar, the panel columns of each component's members as an
     # (m, components) array, padded with column p, which is all nan

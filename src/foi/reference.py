@@ -37,9 +37,13 @@ class ReferenceFixture(NamedTuple):
 
 
 class Mismatch(NamedTuple):
+    """A country whose cluster computed from its published indices is
+    not its published cluster; its fields are the keys of a mismatch in
+    the ``verify`` document."""
+
     country: str
-    computed_cluster: int
-    reference_cluster: int
+    computed: int
+    reference: int
     borderline: bool
 
 

@@ -12,6 +12,8 @@ import math
 from functools import lru_cache
 from operator import attrgetter
 
+import numpy as np
+
 from .classify import ClusterAssignment, ShiftReport
 from .factor import FactorModel
 from .manifest import PILLARS
@@ -133,16 +135,11 @@ def render_assignments(assignments: list[ClusterAssignment], fmt: str = "table")
 
 
 def render_shift(report: ShiftReport, fmt: str = "table") -> str:
+    """Render a shift report; its JSON document holds the report's fields,
+    with the mover lists reduced to country codes."""
     rows = [s._asdict() for s in report.shifts]  # country, from_cluster, to_cluster, delta_h
-    payload = {
-        "epoch_from": report.epoch_from,
-        "epoch_to": report.epoch_to,
-        "shifts": rows,
-        "transitions": report.transitions.tolist(),
-        "upward": [s.country for s in report.upward],
-        "downward": [s.country for s in report.downward],
-        "stayers": [s.country for s in report.stayers],
-    }
+    payload = report._asdict() | {"shifts": rows, "transitions": report.transitions.tolist()}
+    payload |= {k: [s.country for s in payload[k]] for k in ("upward", "downward", "stayers")}
 
     def table():
         lines = [f"{'country':<10}{'from':>6}{'to':>6}{'delta_H':>9}"]
@@ -159,19 +156,12 @@ def render_shift(report: ShiftReport, fmt: str = "table") -> str:
 
 
 def factor_model_to_json(model: FactorModel) -> str:
-    """JSON document with loadings, eigenvalues, and diagnostics."""
-    payload = {
-        "variables": list(model.variables),
-        "loadings": model.loadings.tolist(),
-        "rotated_loadings": model.rotated_loadings.tolist(),
-        "rotation": model.rotation.tolist(),
-        "eigenvalues": model.eigenvalues.tolist(),
-        "kmo": model.kmo,
-        "bartlett": model.bartlett._asdict(),
-        "variance_explained": model.variance_explained,
-        "converged": model.converged,
-    }
-    return render("json", payload, None)
+    """JSON document of the model's fields, arrays as nested lists, but
+    for the scores, which ``factor_scores_to_csv`` writes."""
+    fields = model._asdict()
+    del fields["scores"], fields["score_rows"]
+    payload = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in fields.items()}
+    return render("json", payload | {"bartlett": model.bartlett._asdict()}, None)
 
 
 def factor_scores_to_csv(model: FactorModel) -> str:

@@ -31,11 +31,10 @@ class RescaleRule(NamedTuple):
 
     def apply(self, values: np.ndarray, out: np.ndarray) -> None:
         """Rescale the rows of ``values`` into ``out``, which may be
-        ``values``, with a column for each of the rule's. A missing cell
-        stays ``nan`` through the arithmetic; only the constant columns
-        need 4.0 put back."""
-        if values.shape[-1] != len(self.sub):
-            raise SchemaError(f"a rescale rule of {len(self.sub)} columns cannot rescale {values.shape[-1]} columns")
+        ``values``, with a column for each of the rule's (the callers that
+        take a rule and a panel check it first, with ``check_width``). A
+        missing cell stays ``nan`` through the arithmetic; only the
+        constant columns need 4.0 put back."""
         missing = np.isnan(values[..., self.constant])  # read before out is written
         np.subtract(values, self.sub, out=out)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -43,6 +42,11 @@ class RescaleRule(NamedTuple):
         out *= SCALE_HI - SCALE_LO
         out += SCALE_LO
         out[..., self.constant] = np.where(missing, np.nan, SCALE_MID)
+
+    def check_width(self, width: int) -> None:
+        """Raise ``SchemaError`` unless the rule has ``width`` columns."""
+        if width != len(self.sub):
+            raise SchemaError(f"a rescale rule of {len(self.sub)} columns cannot rescale {width} columns")
 
 
 def _fold(grid: np.ndarray, lower: np.ndarray, names) -> RescaleRule:
@@ -93,6 +97,7 @@ def rescale_rule(panel: IndicatorPanel, manifest: IndicatorManifest) -> RescaleR
 def rescale_panel(panel: IndicatorPanel, rule: RescaleRule) -> IndicatorPanel:
     """Rescale every column of a panel by ``rule`` (as ``rescale_rule``
     gives it), into a new grid."""
+    rule.check_width(panel.values.shape[1])
     grid = np.empty_like(panel.values)
     rule.apply(panel.values, grid)
     grid.setflags(write=False)  # the panel takes it without a copy

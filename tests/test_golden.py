@@ -13,6 +13,7 @@ from importlib import resources
 
 import pytest
 
+from foi import pillar
 from foi.cli import main
 
 DATA = resources.files("foi.data")
@@ -130,3 +131,14 @@ def test_rescale_out_file_matches_stdout(capsys, tmp_path, epoch):
     out = tmp_path / "rescaled.csv"
     assert main(["rescale", "--panel", PANEL[epoch], "--out", str(out)]) == 0
     assert out.read_bytes() == printed(capsys, ("rescale", "--panel", PANEL[epoch]))
+
+
+@pytest.mark.parametrize("argv", [a for a in GOLDEN if a[0] in ("classify", "shift")],
+                         ids=lambda a: " ".join(Path(x).name for x in a))
+def test_classify_and_shift_do_not_rank(monkeypatch, capsys, argv):
+    # they print no rank, so they have no rank to compute
+    def refuse(scores):
+        raise AssertionError("rank_countries called")
+
+    monkeypatch.setattr(pillar, "rank_countries", refuse)
+    assert hashlib.sha256(printed(capsys, argv)).hexdigest() == GOLDEN[argv]

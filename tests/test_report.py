@@ -69,7 +69,7 @@ RECORDS = [
      (2010, 2020, (CountryShift("AAA", 1, 8, 3),), np.eye(8, dtype=int), (CountryShift("AAA", 1, 8, 3),), (), ())),
     (ReferenceFixture, ("countries", "indices", "clusters", "factor_columns", "factor_values"),
      ({"AAA": "A"}, {"2020": {}}, {"2020": {"AAA": 1}}, ("f1",), {"AAA": {"f1": None}})),
-    (Mismatch, ("country", "computed_cluster", "reference_cluster", "borderline"), ("AAA", 1, 8, True)),
+    (Mismatch, ("country", "computed", "reference", "borderline"), ("AAA", 1, 8, True)),
     (VerifyReport, ("epoch", "matches", "mismatches"), (2020, 3, (Mismatch("AAA", 1, 8, True),))),
 ]
 

@@ -248,13 +248,15 @@ def test_constant_column_is_marked_on_the_rule_and_warns_nothing():
 @pytest.mark.parametrize("width", [1, 3, 12])
 def test_rule_of_another_width_is_a_schema_error(width):
     # a rule built on another panel would otherwise end on numpy's
-    # IndexError: boolean index did not match
+    # IndexError: boolean index did not match; on a panel with no rows,
+    # where no block of rows is rescaled, on empty scores
     manifest = make_manifest()
-    panel = make_panel(manifest, np.arange(24.0).reshape(4, 6))
     other = make_manifest((width, 0, 0))
     rule = rescale_rule(make_panel(other, np.arange(4.0 * width).reshape(4, width)), other)
     message = f"^a rescale rule of {width} columns cannot rescale 6 columns$"
-    with pytest.raises(SchemaError, match=message):
-        rescale_panel(panel, rule)
-    with pytest.raises(SchemaError, match=message):
-        compute_pillar_scores(panel, manifest, rescale=rule)
+    for rows in (4, 0):
+        panel = make_panel(manifest, np.arange(6.0 * rows).reshape(rows, 6))
+        with pytest.raises(SchemaError, match=message):
+            rescale_panel(panel, rule)
+        with pytest.raises(SchemaError, match=message):
+            compute_pillar_scores(panel, manifest, rescale=rule)
