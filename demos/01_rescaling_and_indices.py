@@ -12,7 +12,6 @@ from foi import (
     compute_pillar_scores,
     default_manifest,
     load_panel,
-    rank_countries,
     rescale_panel,
     rescale_rule,
     validate_panel,
@@ -38,6 +37,6 @@ rescaled = rescale_panel(panel, rescale_rule(panel, manifest))
 print("\nrescaled value range (ignoring missing cells):",
       np.nanmin(rescaled.values), "to", np.nanmax(rescaled.values))
 
-scores = rank_countries(compute_pillar_scores(rescaled, manifest))
+scores = compute_pillar_scores(rescaled, manifest)
 print("\npillar indices (index value with rank in parentheses):\n")
 print(render_scores(scores, "table"))

@@ -12,7 +12,6 @@ from foi import (
     compute_pillar_scores,
     default_manifest,
     load_panel,
-    rank_countries,
     rescale_panel,
     rescale_rule,
     shift_report,
@@ -25,7 +24,7 @@ manifest = default_manifest()
 
 def assignments_for(name, epoch):
     panel = load_panel(str(data / name), manifest, epoch=epoch)
-    scores = rank_countries(compute_pillar_scores(rescale_panel(panel, rescale_rule(panel, manifest)), manifest))
+    scores = compute_pillar_scores(rescale_panel(panel, rescale_rule(panel, manifest)), manifest)
     return classify_epoch(scores)
 
 

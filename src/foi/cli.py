@@ -167,7 +167,7 @@ def cmd_rescale(args) -> int:
 
 def cmd_indices(args) -> int:
     scores = _scores_for(args.command, args.panel, _manifest(args), args.epoch, args.missing_policy)
-    report.write_text(report.render_scores(pillar.rank_countries(scores), args.format), args.out)
+    report.write_text(report.render_scores(scores, args.format), args.out)
     return EXIT_OK
 
 
@@ -271,7 +271,7 @@ def cmd_export(args) -> int:
             raise SchemaError(f"{path}: 'epoch' cannot be {payload['epoch']!r}")
         # a null index is nan, which ranks last
         index = {p: np.array([r[f"{p.lower()}_index"] for r in rows], dtype=float) for p in PILLARS}
-        result = pillar.rank_countries(pillar.FoiScores(payload.get("epoch", 0), [r["country"] for r in rows], index))
+        result = pillar.FoiScores(payload.get("epoch", 0), [r["country"] for r in rows], index)
         rebuilt, render = report.scores_to_rows(result), report.render_scores
     else:
         result = [ClusterAssignment(r["country"], r["cluster"], frozenset(r["borderline"])) for r in rows]

@@ -371,8 +371,9 @@ def factor_scores(
     np.ldexp(base, -_magnitude_exponents(base), out=base)  # an exact rescale, as in correlation_matrix
     mu = base.mean(axis=0)
     sd = base.std(axis=0)
-    if (sd == 0.0).any():
-        j = int(np.flatnonzero(sd == 0.0)[0])
+    constant = (base.min(axis=0) == base.max(axis=0)) | (sd == 0.0)  # _zero_variance's rule
+    if constant.any():
+        j = int(np.flatnonzero(constant)[0])
         raise DomainError(f"variable {data.indicators[j]!r} is constant on complete rows")
     weights = r.inverse @ np.asarray(rotated_loadings, dtype=float)
     scores = np.full((grid.shape[0], weights.shape[1]), np.nan)
@@ -399,7 +400,7 @@ def fit_factor_model(
     try:
         bart = bartlett_test(r, n)
     except SingularMatrixError as exc:
-        if missing != "pairwise":
+        if missing != "pairwise" or not np.isnan(data.values).any():
             raise
         # pairwise deletion estimates each r from its own rows, so R need
         # not be positive semi-definite

@@ -78,10 +78,12 @@ class IndicatorManifest:
         return [s.id for s in self.specs]
 
     def by_id(self, indicator_id: str) -> IndicatorSpec:
+        """The spec of ``indicator_id``; an id not in the manifest is a
+        ``SchemaError``."""
         for s in self.specs:
             if s.id == indicator_id:
                 return s
-        raise KeyError(indicator_id)
+        raise SchemaError(f"no indicator {indicator_id!r} in the manifest")
 
     def pillar_ids(self, pillar: str) -> list[str]:
         """Indicator ids belonging to one pillar, in manifest order."""

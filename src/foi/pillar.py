@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AggregationError, DomainError
+from .errors import AggregationError, DomainError, SchemaError
 from .manifest import PILLARS, IndicatorManifest
 from .panel import IndicatorPanel, _in_blocks
 
@@ -20,17 +20,15 @@ MISSING_POLICIES = ("available_mean", "strict")
 
 @dataclass(frozen=True)
 class FoiScores:
-    """Per-country pillar indices on the 1-7 scale, with optional ranks.
+    """Per-country pillar indices on the 1-7 scale.
 
     ``index[pillar][i]`` belongs to ``countries[i]``; a ``nan`` index
     means the pillar could not be computed under the strict policy.
-    Ranks are 1-based, rank 1 = highest index.
     """
 
     epoch: int
     countries: tuple[str, ...]
     index: dict[str, np.ndarray]
-    rank: dict[str, np.ndarray] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "countries", tuple(self.countries))
@@ -59,7 +57,8 @@ def compute_pillar_scores(
     Under ``available_mean`` each index is the mean of the country's
     observed components in the pillar; a country with no observed
     component in some pillar is an error. Under ``strict`` any missing
-    component makes the pillar index missing (``nan``).
+    component makes the pillar index missing (``nan``). A manifest
+    indicator with no panel column is a ``SchemaError``.
 
     The rows are aggregated in blocks of at least ``_SPLIT_MIN_CELLS``
     cells, split over the CPUs by ``_in_blocks``.
@@ -70,6 +69,8 @@ def compute_pillar_scores(
     if rescale is not None:  # checked here, not per block: a panel with no rows has no block
         rescale.check_width(p)
     col_of = {ind: j for j, ind in enumerate(panel.indicators)}
+    if absent := [ind for ind in manifest.ids if ind not in col_of]:
+        raise SchemaError(f"no panel column for manifest indicator {absent[0]!r}")
     # per pillar, the panel columns of each component's members as an
     # (m, components) array, padded with column p, which is all nan
     members = []
@@ -152,8 +153,10 @@ def _pillar_means(values: np.ndarray, missing_policy: str) -> tuple[np.ndarray, 
     return count, out
 
 
-def rank_countries(scores: FoiScores) -> FoiScores:
-    """Fill ranks: rank 1 = highest index, ties broken by country code."""
+def rank_countries(scores: FoiScores) -> dict[str, np.ndarray]:
+    """Each pillar's 1-based ranks, ``[pillar][i]`` for ``countries[i]``:
+    rank 1 = highest index, ties broken by country code, a missing index
+    last."""
     n = len(scores.countries)
     by_code = np.empty(n, dtype=int)  # each code's place in code order
     by_code[scores.code_order] = np.arange(n)
@@ -164,6 +167,4 @@ def rank_countries(scores: FoiScores) -> FoiScores:
         r = np.empty(n, dtype=int)
         r[np.lexsort((by_code, key))] = np.arange(1, n + 1)
         ranks[pillar] = r
-    ranked = FoiScores(epoch=scores.epoch, countries=scores.countries, index=scores.index, rank=ranks)
-    vars(ranked)["code_order"] = scores.code_order  # the same countries: no second sort
-    return ranked
+    return ranks

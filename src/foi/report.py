@@ -8,17 +8,16 @@ missing values are empty CSV cells / JSON nulls.
 import csv
 import io
 import json
-import math
 from functools import lru_cache
 from operator import attrgetter
 
 import numpy as np
 
+from . import pillar
 from .classify import ClusterAssignment, ShiftReport
 from .factor import FactorModel
 from .manifest import PILLARS
 from .panel import _open_output, _write_grid
-from .pillar import FoiScores
 
 FORMATS = ("table", "csv", "json")
 
@@ -32,12 +31,12 @@ def round_half_up(value: float) -> float:
     return float(Decimal(repr(value)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
 
 
-def _fmt_cell(value: float | None, rank: int | None) -> str:
+def _fmt_cell(value: float | None, rank: int) -> str:
     if value is None:
         return ""
     shown = round_half_up(value)
     text = f"{shown:.1f}".rstrip("0").rstrip(".") if shown == int(shown) else f"{shown:.1f}"
-    return f"{text} ({rank})" if rank is not None else text
+    return f"{text} ({rank})"
 
 
 def render(fmt: str, payload: dict, table, fields=(), rows=()) -> str:
@@ -61,19 +60,20 @@ def render(fmt: str, payload: dict, table, fields=(), rows=()) -> str:
     raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
 
 
-def scores_to_rows(scores: FoiScores) -> list[dict]:
-    rows = []
-    for i, code in enumerate(scores.countries):
-        row: dict = {"country": code}
-        for pillar in PILLARS:
-            v = float(scores.index[pillar][i])
-            row[f"{pillar.lower()}_index"] = None if math.isnan(v) else v
-            row[f"{pillar.lower()}_rank"] = int(scores.rank[pillar][i]) if scores.rank is not None else None
-        rows.append(row)
-    return sorted(rows, key=lambda r: r["country"])
+def scores_to_rows(scores: pillar.FoiScores) -> list[dict]:
+    """One row per country, in code order: each pillar's index (null when
+    missing) and rank."""
+    order = scores.code_order
+    ranks = pillar.rank_countries(scores)
+    columns = {"country": [scores.countries[i] for i in order]}
+    for p in PILLARS:
+        index = np.asarray(scores.index[p], dtype=float)[order]
+        columns[f"{p.lower()}_index"] = np.where(np.isnan(index), None, index).tolist()
+        columns[f"{p.lower()}_rank"] = ranks[p][order].tolist()
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
-def render_scores(scores: FoiScores, fmt: str = "table") -> str:
+def render_scores(scores: pillar.FoiScores, fmt: str = "table") -> str:
     """Render pillar indices in one of the supported formats."""
     rows = scores_to_rows(scores)
 

@@ -187,17 +187,19 @@ def test_criterion_09_pillar_aggregation():
     for _ in range(5):
         grid = rng.uniform(1.0, 7.0, size=(34, 24))
         grid[rng.random((34, 24)) < 0.08] = np.nan
-        scores = rank_countries(compute_pillar_scores(make_panel(manifest, grid), manifest))
+        scores = compute_pillar_scores(make_panel(manifest, grid), manifest)
+        ranks = rank_countries(scores)
         for i in range(34):
             for pillar, lo, hi in (("F", 0, 9), ("O", 9, 14), ("I", 14, 24)):
                 vals = [v for v in grid[i, lo:hi] if not math.isnan(v)]
                 assert abs(scores.index[pillar][i] - sum(vals) / len(vals)) <= 1e-12
         for pillar in "FOI":
-            assert sorted(scores.rank[pillar].tolist()) == list(range(1, 35))
-    published = rank_countries(fixture_scores(2020))
+            assert sorted(ranks[pillar].tolist()) == list(range(1, 35))
+    published = fixture_scores(2020)
+    ranks = rank_countries(published)
     codes = published.countries
-    assert published.rank["O"][codes.index("LUX")] == 1
-    assert published.rank["I"][codes.index("CHE")] == 1
+    assert ranks["O"][codes.index("LUX")] == 1
+    assert ranks["I"][codes.index("CHE")] == 1
 
 
 def test_criterion_10_cli_determinism(tmp_path):

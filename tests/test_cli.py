@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import foi
-from foi import factor, pillar
+from foi import factor, pillar, report
 from foi.classify import CLUSTER_LABELS, CLUSTER_LEVELS
 from foi.cli import main
 from foi.manifest import DIRECTIONS, default_manifest
@@ -147,6 +147,18 @@ def test_export_round_trip(capsys, tmp_path):
     # json round-trips to identical in-memory values
     code, out_json, _ = run(capsys, "export", "--in", str(json_path), "--format", "json")
     assert json.loads(out_json) == json.loads(json_path.read_text())
+
+
+def test_scores_rendered_by_the_library_read_back_through_export(capsys, tmp_path):
+    # unranked scores rendered as "f_rank": null, which export refused
+    manifest = default_manifest()
+    panel = load_panel(PANEL_2020, manifest, epoch=2020)
+    scores = pillar.compute_pillar_scores(panel, manifest, rescale=rescale_rule(panel, manifest))
+    path = tmp_path / "scores.json"
+    path.write_text(report.render_scores(scores, "json"))
+    printed = run(capsys, "indices", "--panel", PANEL_2020, "--epoch", "2020", "--format", "json")
+    assert printed == (0, path.read_text(), "")
+    assert run(capsys, "export", "--in", str(path), "--format", "json") == printed
 
 
 ROW = {"country": "AUS", "f_index": 4.5, "f_rank": 1, "o_index": 3.0, "o_rank": 1, "i_index": None, "i_rank": 1}
@@ -332,6 +344,55 @@ def test_factors_on_no_variable_is_one_error_line(capsys, tmp_path, missing, fla
     path.write_text("country\n" + "".join(f"C{i}\n" for i in range(10)))
     code, out, err = run(capsys, "factors", "--panel", str(path), "--missing", missing, *flags)
     assert (code, out, err) == (1, "", "foi factors: Bartlett's test needs at least two variables, got 0\n")
+
+
+def _variables(path, grid):
+    """Write ``grid`` as a variable CSV with columns v0, v1, ...; a nan
+    cell is left empty."""
+    header = "country," + ",".join(f"v{j}" for j in range(grid.shape[1]))
+    rows = (f"C{i}," + ",".join("" if math.isnan(x) else repr(x) for x in row) for i, row in enumerate(grid.tolist()))
+    path.write_text("\n".join([header, *rows]) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("c", [2.5, 1.1, 0.4, 0.1, 0.7, 3.3])
+def test_factors_variable_constant_on_complete_rows_is_an_input_error(capsys, tmp_path, c):
+    # v0 is c on rows 40-59, the only complete ones; for 0.4, 0.1, 0.7 and
+    # 3.3 the rows' std is round-off, not 0, and the parent wrote scores
+    # built from it
+    grid = np.random.default_rng(3).normal(size=(60, 3))
+    grid[:20, 1] = grid[20:40, 2] = np.nan
+    grid[40:, 0] = c
+    code, out, err = run(capsys, "factors", "--panel", _variables(tmp_path / "v.csv", grid))
+    assert (code, out, err) == (1, "", "foi factors: variable 'v0' is constant on complete rows\n")
+
+
+def test_factors_with_no_complete_row_is_an_input_error(capsys, tmp_path):
+    # row i lacks variable i mod 3: every pair has 10 rows, no row has all three
+    grid = np.random.default_rng(4).normal(size=(30, 3))
+    grid[np.arange(30), np.arange(30) % 3] = np.nan
+    code, out, err = run(capsys, "factors", "--panel", _variables(tmp_path / "v.csv", grid))
+    assert (code, out, err) == (1, "", "foi factors: no complete rows to score\n")
+
+
+@pytest.mark.parametrize("missing", ["pairwise", "listwise"])
+def test_factors_singular_without_a_missing_cell_gives_no_deletion_hint(capsys, tmp_path, missing):
+    # a repeated column: R is singular under either deletion mode, so
+    # "try --missing listwise" would send the user to the same failure.
+    # Integer columns with integer means keep every sum exact: v3 repeats
+    # v0, whose deviations (+-1) square to 36 = 6 ** 2, so r(v0, v3) is
+    # exactly 1 and R exactly singular
+    grid = np.random.default_rng(5).integers(-4, 5, size=(36, 4)).astype(float)
+    grid[:, 0] = np.where(np.arange(36) % 2, 1.0, -1.0)
+    grid[0, 1:3] -= grid[:, 1:3].sum(axis=0) % 36
+    grid[:, 3] = grid[:, 0]
+    path = _variables(tmp_path / "v.csv", grid)
+    r = factor.correlation_matrix(factor.load_variable_matrix(path), missing=missing)
+    lowest = float(np.linalg.eigvalsh(r.values)[0])
+    code, out, err = run(capsys, "factors", "--panel", path, "--missing", missing)
+    assert (code, out) == (2, "")
+    assert err == f"foi factors: numerical failure: correlation matrix is not positive definite " \
+                  f"(smallest eigenvalue {lowest:.6g})\n"
 
 
 SRC = str(Path(foi.__file__).resolve().parents[1])
@@ -534,6 +595,41 @@ def test_manifest_record_of_the_wrong_type_is_an_input_error(capsys, tmp_path, r
     path.write_text(json.dumps(records))
     code, out, err = run(capsys, "classify", "--panel", PANEL_2020, "--manifest", str(path))
     assert (code, out, err) == (1, "", f"foi classify: {message}\n")
+
+
+def _default_records_without(index, key):
+    records = json.loads((DATA / "manifest_default.json").read_text(encoding="utf-8"))
+    del records[index][key]
+    return records
+
+
+_IDS = default_manifest().ids
+
+
+@pytest.mark.parametrize("records, message", [
+    (_default_records_with(2, "pillar", "X"), f"spec {_IDS[2]!r}: pillar must be one of ('F', 'O', 'I'), got 'X'"),
+    (_default_records_with(4, "direction", "up"),
+     f"spec {_IDS[4]!r}: direction must be one of ('higher_is_better', 'lower_is_better'), got 'up'"),
+    (_default_records_with(6, "id", _IDS[5]), f"duplicate indicator ids in manifest: [{_IDS[5]!r}]"),
+    (_default_records_without(8, "source"), "manifest record 8 missing key 'source'"),
+])
+def test_manifest_record_that_breaks_a_rule_is_an_input_error(capsys, tmp_path, records, message):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(records))
+    code, out, err = run(capsys, "classify", "--panel", PANEL_2020, "--manifest", str(path))
+    assert (code, out, err) == (1, "", f"foi classify: {message}\n")
+
+
+@pytest.mark.parametrize("verb", ["ingest", "factors"])
+@pytest.mark.parametrize("text, message", [
+    ("", "empty file"),
+    ("code,a,b\nX,1,2\n", "first header column must be 'country'"),
+])
+def test_panel_without_a_country_header_is_an_input_error(capsys, tmp_path, verb, text, message):
+    path = tmp_path / "panel.csv"
+    path.write_text(text)
+    code, out, err = run(capsys, verb, "--panel", str(path))
+    assert (code, out, err) == (1, "", f"foi {verb}: {path}: {message}\n")
 
 
 def test_manifest_that_is_not_json_is_an_input_error(capsys, tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from foi.errors import DomainError, EmptyColumnError, SchemaError
+from foi.panel import IndicatorPanel
 from foi.pillar import compute_pillar_scores
 from foi.rescale import min_max_rescale, rescale_panel, rescale_rule
 
@@ -260,3 +261,13 @@ def test_rule_of_another_width_is_a_schema_error(width):
             rescale_panel(panel, rule)
         with pytest.raises(SchemaError, match=message):
             compute_pillar_scores(panel, manifest, rescale=rule)
+
+
+def test_panel_column_not_in_the_manifest_is_a_schema_error():
+    # both ended in a bare KeyError: 'x' and KeyError: 'o0'
+    manifest = make_manifest((1, 1, 1))
+    panel = IndicatorPanel(2020, ("A", "B"), ("f0", "x", "i0"), np.arange(6.0).reshape(2, 3))
+    with pytest.raises(SchemaError, match="^no indicator 'x' in the manifest$"):
+        rescale_rule(panel, manifest)
+    with pytest.raises(SchemaError, match="^no panel column for manifest indicator 'o0'$"):
+        compute_pillar_scores(panel, manifest)

@@ -12,11 +12,13 @@ the same on both sides.
 The list covers every verb and format on both bundled demo panels;
 ``factors`` on the bundled variable matrix at k = 1, 2, 3 and 12, with
 ``--auto-k`` and with an out-of-range k, under both deletion modes, with
-and without ``--no-kaiser``; and every ``--help``. With ``--cache DIR``
-it adds the benchmark's seed-1 inputs, built in (or read from) DIR as
-``perfbench/run.py`` builds them: ``classify`` JSON at stress scale,
-``rescale`` and ``shift`` CSV at regional scale, and the ``factors``
-model and scores of the wide factor workload.
+and without ``--no-kaiser``; every ``--help``; and the input errors of
+``error_cases``, on inputs written next to the shared copy of the bundled
+ones, so that error lines and exit statuses are compared too. With
+``--cache DIR`` it adds the benchmark's seed-1 inputs, built in (or read
+from) DIR as ``perfbench/run.py`` builds them: ``classify`` JSON at
+stress scale, ``rescale`` and ``shift`` CSV at regional scale, and the
+``factors`` model and scores of the wide factor workload.
 
 Run from the repo root, for example against a copy of the parent commit:
     python tools/compare_outputs.py ../parent/src src --cache .bench_cache
@@ -25,7 +27,9 @@ The exit status is 0 when no file differs, 1 otherwise.
 
 import argparse
 import filecmp
+import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -78,6 +82,49 @@ def demo_cases(data: Path) -> dict[str, list[str]]:
                     *(["--no-kaiser"] if kaiser == "no-kaiser" else []),
                     "--out", f"{name}.json", "--scores-out", f"{name}-scores.csv",
                 ]
+    return cases
+
+
+def _write_variables(path: Path, grid: list[list[float | None]]) -> str:
+    """Write ``grid`` as a variable CSV with columns v0, v1, ...; a
+    ``None`` cell is left empty."""
+    lines = ["country," + ",".join(f"v{j}" for j in range(len(grid[0])))]
+    lines += [f"C{i}," + ",".join("" if x is None else repr(x) for x in row) for i, row in enumerate(grid)]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def error_cases(data: Path) -> dict[str, list[str]]:
+    """Name -> argv of each command that fails on an input written under
+    ``data``: a correlation matrix made singular by a repeated column,
+    with no missing cell, under both deletion modes; a variable that is
+    0.4 or 2.5 on the complete rows alone; a manifest record with a bad
+    pillar; and an empty panel."""
+    rng = random.Random(1)
+    # integer columns with integer means keep every sum exact: v3 repeats
+    # v0, whose deviations (+-1) square to 36 = 6 ** 2, so r(v0, v3) is
+    # exactly 1 and R exactly singular
+    grid = [[(-1.0) ** i, float(rng.randint(-4, 4)), float(rng.randint(-4, 4))] for i in range(36)]
+    for j in (1, 2):
+        grid[0][j] -= sum(r[j] for r in grid) % 36
+    singular = _write_variables(data / "singular.csv", [r + r[:1] for r in grid])
+    cases = {f"error-singular-{missing}": ["factors", "--panel", singular, "--missing", missing]
+             for missing in ("pairwise", "listwise")}
+    rows = [[rng.gauss(0.0, 1.0) for _ in range(3)] for _ in range(60)]
+    for c in (0.4, 2.5):
+        # v1 is missing on rows 0-19, v2 on rows 20-39: rows 40-59 are the complete ones
+        grid = [[c if i >= 40 else r[0], None if i < 20 else r[1], None if 20 <= i < 40 else r[2]]
+                for i, r in enumerate(rows)]
+        cases[f"error-constant-{c}"] = ["factors", "--panel", _write_variables(data / f"constant-{c}.csv", grid),
+                                        "--out", f"constant-{c}.json", "--scores-out", f"constant-{c}-scores.csv"]
+    records = json.loads((data / "manifest_default.json").read_text(encoding="utf-8"))
+    records[0]["pillar"] = "X"
+    (data / "bad-manifest.json").write_text(json.dumps(records))
+    cases["error-manifest"] = ["classify", "--panel", str(data / "demo_panel_2020.csv"),
+                               "--manifest", str(data / "bad-manifest.json")]
+    (data / "empty.csv").write_text("")
+    for verb in ("ingest", "factors"):
+        cases[f"error-empty-{verb}"] = [verb, "--panel", str(data / "empty.csv")]
     return cases
 
 
@@ -137,7 +184,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         data = shutil.copytree(args.change_src / "foi" / "data", tmp / "data")
-        cases = demo_cases(data)
+        cases = demo_cases(data) | error_cases(data)
         if args.cache:
             cases |= cache_cases(args.cache.resolve())
         for side, src in (("parent", args.parent_src), ("change", args.change_src)):
