@@ -9,6 +9,7 @@ as its cluster id, from which the levels, the label and the number of
 high pillars are read.
 """
 
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -125,21 +126,20 @@ def classify_epoch(
 
     Countries listed by ``unclassifiable`` are left out.
     """
-    index = np.array([scores.index[p] for p in PILLARS], dtype=float)[:, scores.code_order]
+    index = np.array([scores.index[p] for p in PILLARS])
     keep = ~np.isnan(index).any(axis=0)
     ids, border = _cluster_ids(index[:, keep], threshold, epsilon)
-    countries = scores.countries
     return [
-        ClusterAssignment(countries[k], c, PILLAR_SETS[m])
-        for k, c, m in zip(scores.code_order[keep].tolist(), ids.tolist(), border.tolist())
+        ClusterAssignment(country, c, PILLAR_SETS[m])
+        for country, c, m in zip(compress(scores.countries, keep), ids.tolist(), border.tolist())
     ]
 
 
 def unclassifiable(scores: FoiScores) -> list[str]:
-    """Sorted codes of the countries with a missing (``nan``) pillar
-    index, as the ``strict`` missing policy leaves them."""
+    """Codes, in code order, of the countries with a missing (``nan``)
+    pillar index, as the ``strict`` missing policy leaves them."""
     missing = np.isnan([scores.index[p] for p in PILLARS]).any(axis=0)
-    return sorted(code for code, m in zip(scores.countries, missing) if m)
+    return list(compress(scores.countries, missing))
 
 
 def check_same_countries(a, b) -> None:

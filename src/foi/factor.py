@@ -399,6 +399,14 @@ def fit_factor_model(
     n = int(r.pair_counts.min(initial=len(data.countries)))
     try:
         bart = bartlett_test(r, n)
+        kmo = kmo_statistic(r)
+        loadings, eigvals = pca_extract(r, r.p if auto_k else k)
+        # an eigenvalue at or below p * eps * the largest is round-off: R
+        # is singular, and scores built from its inverse would be noise
+        if eigvals[-1] <= r.p * np.finfo(float).eps * eigvals[0]:
+            raise SingularMatrixError(
+                f"correlation matrix is singular to working precision (smallest eigenvalue {eigvals[-1]:.6g})"
+            )
     except SingularMatrixError as exc:
         if missing != "pairwise" or not np.isnan(data.values).any():
             raise
@@ -407,8 +415,6 @@ def fit_factor_model(
         raise SingularMatrixError(
             f"{exc}; pairwise deletion can cause this, try --missing listwise"
         ) from None
-    kmo = kmo_statistic(r)
-    loadings, eigvals = pca_extract(r, r.p if auto_k else k)
     if auto_k:
         loadings = loadings[:, : max(kaiser_count(eigvals), 1)]
     rotated, rotation, _, converged = varimax_rotate(

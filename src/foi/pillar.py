@@ -7,7 +7,6 @@ series still counts once in the pillar mean.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -22,8 +21,13 @@ MISSING_POLICIES = ("available_mean", "strict")
 class FoiScores:
     """Per-country pillar indices on the 1-7 scale.
 
+    ``countries`` are kept sorted by code, in Python's string order
+    (numpy's fixed-width strings would drop a trailing NUL and tie "A"
+    with "A\\0"), and each index is permuted with them, so
     ``index[pillar][i]`` belongs to ``countries[i]``; a ``nan`` index
-    means the pillar could not be computed under the strict policy.
+    means the pillar could not be computed under the strict policy. The
+    indices are read-only copies of the arrays given; a missing pillar,
+    or an index that is not one value per country, is a ``DomainError``.
     """
 
     epoch: int
@@ -31,17 +35,18 @@ class FoiScores:
     index: dict[str, np.ndarray]
 
     def __post_init__(self):
-        object.__setattr__(self, "countries", tuple(self.countries))
+        countries = tuple(self.countries)
+        order = sorted(range(len(countries)), key=countries.__getitem__)
         for pillar in PILLARS:
             if pillar not in self.index:
                 raise DomainError(f"missing pillar {pillar!r} in index map")
-
-    @cached_property
-    def code_order(self) -> np.ndarray:
-        """Positions of ``countries`` sorted by code, in Python's string
-        order: numpy's fixed-width strings would drop a trailing NUL and
-        tie "A" with "A\\0". Computed once, on first use."""
-        return np.array(sorted(range(len(self.countries)), key=self.countries.__getitem__), dtype=np.intp)
+            if (shape := np.shape(self.index[pillar])) != (len(order),):
+                raise DomainError(f"{pillar}-index has shape {shape} for {len(order)} countries")
+        index = {p: np.asarray(self.index[p], dtype=float)[order] for p in PILLARS}  # copies, in code order
+        for values in index.values():
+            values.flags.writeable = False
+        object.__setattr__(self, "countries", tuple(countries[i] for i in order))
+        object.__setattr__(self, "index", index)
 
 
 def compute_pillar_scores(
@@ -92,7 +97,7 @@ def compute_pillar_scores(
             raise AggregationError(
                 f"country {panel.countries[i]!r} has no observed components in pillar {pillar!r}"
             )
-    index = {pillar: out[:, len(PILLARS) + k].copy() for k, pillar in enumerate(PILLARS)}
+    index = {pillar: out[:, len(PILLARS) + k] for k, pillar in enumerate(PILLARS)}
     return FoiScores(epoch=panel.epoch, countries=panel.countries, index=index)
 
 
@@ -158,13 +163,11 @@ def rank_countries(scores: FoiScores) -> dict[str, np.ndarray]:
     rank 1 = highest index, ties broken by country code, a missing index
     last."""
     n = len(scores.countries)
-    by_code = np.empty(n, dtype=int)  # each code's place in code order
-    by_code[scores.code_order] = np.arange(n)
     ranks: dict[str, np.ndarray] = {}
     for pillar in PILLARS:
-        key = -np.asarray(scores.index[pillar], dtype=float)
+        key = -scores.index[pillar]
         key[np.isnan(key)] = np.inf  # a missing index ranks last
         r = np.empty(n, dtype=int)
-        r[np.lexsort((by_code, key))] = np.arange(1, n + 1)
+        r[np.argsort(key, kind="stable")] = np.arange(1, n + 1)  # ties by position, which is code order
         ranks[pillar] = r
     return ranks

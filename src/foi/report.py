@@ -63,13 +63,12 @@ def render(fmt: str, payload: dict, table, fields=(), rows=()) -> str:
 def scores_to_rows(scores: pillar.FoiScores) -> list[dict]:
     """One row per country, in code order: each pillar's index (null when
     missing) and rank."""
-    order = scores.code_order
     ranks = pillar.rank_countries(scores)
-    columns = {"country": [scores.countries[i] for i in order]}
+    columns = {"country": list(scores.countries)}
     for p in PILLARS:
-        index = np.asarray(scores.index[p], dtype=float)[order]
+        index = scores.index[p]
         columns[f"{p.lower()}_index"] = np.where(np.isnan(index), None, index).tolist()
-        columns[f"{p.lower()}_rank"] = ranks[p][order].tolist()
+        columns[f"{p.lower()}_rank"] = ranks[p].tolist()
     return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 

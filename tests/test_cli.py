@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -40,6 +41,15 @@ _ORACLE_SPEC = importlib.util.spec_from_file_location(
 )
 oracle = sys.modules["perfbench_oracle"] = importlib.util.module_from_spec(_ORACLE_SPEC)
 _ORACLE_SPEC.loader.exec_module(oracle)
+
+
+def _truth(records, codes, columns, values):
+    """``oracle.PanelTruth.build`` with its "All-NaN slice" warnings
+    silenced: a column with no observed cell has no min or max, and its
+    rescaled truth is nan."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "All-NaN slice encountered", RuntimeWarning)
+        return oracle.PanelTruth.build(records, codes, columns, values)
 
 
 def run(capsys, *argv):
@@ -393,6 +403,33 @@ def test_factors_singular_without_a_missing_cell_gives_no_deletion_hint(capsys, 
     assert (code, out) == (2, "")
     assert err == f"foi factors: numerical failure: correlation matrix is not positive definite " \
                   f"(smallest eigenvalue {lowest:.6g})\n"
+
+
+
+def _repeated_column(path):
+    """Rows r00-r39 of v0-v2, drawn row by row from
+    ``random.Random(1).gauss(0, 1)``, and v3 a copy of v0."""
+    rng = random.Random(1)
+    rows = [[rng.gauss(0, 1) for _ in range(3)] for _ in range(40)]
+    lines = [f"r{i:02d}," + ",".join(map(repr, row + row[:1])) for i, row in enumerate(rows)]
+    path.write_text("\n".join(["country,v0,v1,v2,v3", *lines]) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("missing", ["pairwise", "listwise"])
+def test_factors_repeated_column_is_singular_to_working_precision(capsys, tmp_path, missing):
+    # r(v0, v3) is 1 up to round-off: R passes Cholesky, but its smallest
+    # eigenvalue is below p * eps * the largest, and scores built from
+    # that round-off were once written with exit 0
+    path = _repeated_column(tmp_path / "v.csv")
+    r = factor.correlation_matrix(factor.load_variable_matrix(path), missing=missing)
+    try:
+        np.linalg.cholesky(r.values)
+        want = f"singular to working precision (smallest eigenvalue {factor.pca_extract(r, 1)[1][-1]:.6g})"
+    except np.linalg.LinAlgError:  # where the round-off leaves R indefinite, Bartlett's test catches it
+        want = f"not positive definite (smallest eigenvalue {np.linalg.eigvalsh(r.values)[0]:.6g})"
+    code, out, err = run(capsys, "factors", "--panel", path, "--missing", missing)
+    assert (code, out, err) == (2, "", f"foi factors: numerical failure: correlation matrix is {want}\n")
 
 
 SRC = str(Path(foi.__file__).resolve().parents[1])
@@ -801,7 +838,7 @@ def test_rescale_and_classify_give_the_oracle_answer_or_one_error_line(inputs, c
         monkeypatch.setattr(pillar, "_SPLIT_MIN_CELLS", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         manifest, (panel,) = _write_inputs(tmp, records, codes, columns, values)
-        truth = oracle.PanelTruth.build(records, codes, columns, values)
+        truth = _truth(records, codes, columns, values)
         for verb, extra, check in (
             ("rescale", ("--out", "-"), oracle.check_rescaled_csv),
             ("classify", ("--format", "json"), oracle.check_classify_json),
@@ -820,7 +857,7 @@ def test_ingest_indices_shift_and_export_give_the_oracle_answer_or_one_error_lin
     records, codes, columns, values = inputs
     later = data.draw(panel_grid(len(codes), len(columns), _components(records, columns)))
     policy = data.draw(st.sampled_from(pillar.MISSING_POLICIES))
-    truth = [oracle.PanelTruth.build(records, codes, columns, v) for v in (values, later)]
+    truth = [_truth(records, codes, columns, v) for v in (values, later)]
     with tempfile.TemporaryDirectory() as tmp:
         manifest, (panel_a, panel_b) = _write_inputs(tmp, records, codes, columns, values, later)
         scores, assignments = os.path.join(tmp, "scores.json"), os.path.join(tmp, "assignments.json")

@@ -494,6 +494,30 @@ def test_pairwise_r_not_psd_names_smallest_eigenvalue_and_listwise():
     assert "--missing listwise" in str(exc.value)
 
 
+@pytest.mark.parametrize("missing, hint", [("pairwise", True), ("listwise", False)])
+def test_smallest_eigenvalue_at_the_round_off_floor_is_singular(monkeypatch, missing, hint):
+    # pca_extract's smallest eigenvalue set to p * eps * the largest, the
+    # floor itself, and then one step above it, which fits; the grid has a
+    # missing cell, so the pairwise hint comes under pairwise deletion only
+    grid = np.random.default_rng(6).normal(size=(40, 3))
+    grid[5, 1] = np.nan
+    r = correlation_matrix(vm(grid), missing=missing)
+    floor = r.p * np.finfo(float).eps * pca_extract(r, 1)[1][0]
+    smallest = floor
+
+    def extract(r, k):
+        loadings, eigvals = pca_extract(r, k)
+        return loadings, np.append(eigvals[:-1], smallest)
+
+    monkeypatch.setattr(factor, "pca_extract", extract)
+    with pytest.raises(SingularMatrixError) as exc:
+        fit_factor_model(vm(grid), k=1, missing=missing)
+    want = f"correlation matrix is singular to working precision (smallest eigenvalue {floor:.6g})"
+    assert str(exc.value) == want + ("; pairwise deletion can cause this, try --missing listwise" if hint else "")
+    smallest = np.nextafter(floor, np.inf)
+    assert fit_factor_model(vm(grid), k=1, missing=missing).eigenvalues[-1] == smallest
+
+
 # ------------------------------------------------------------------------ KMO
 
 

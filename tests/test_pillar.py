@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import foi
-from foi.classify import classify_epoch
-from foi.errors import AggregationError, EmptyColumnError
+from foi.classify import ClusterAssignment, classify_epoch
+from foi.errors import AggregationError, DomainError, EmptyColumnError
 from foi.manifest import IndicatorManifest, IndicatorSpec, default_manifest
 from foi.panel import IndicatorPanel, load_panel, write_panel
 from foi.pillar import FoiScores, compute_pillar_scores, rank_countries
@@ -126,11 +126,31 @@ def test_rank_one_is_highest():
 def test_ties_break_by_country_code():
     manifest = make_manifest((1, 1, 1))
     grid = np.array([[5.0, 1.0, 1.0], [5.0, 1.0, 1.0]])
-    ranks = rank_countries(
-        compute_pillar_scores(make_panel(manifest, grid, countries=["BBB", "AAA"]), manifest)
-    )
+    scores = compute_pillar_scores(make_panel(manifest, grid, countries=["BBB", "AAA"]), manifest)
     # AAA gets the smaller rank on equal indices
-    assert ranks["F"].tolist() == [2, 1]
+    assert dict(zip(scores.countries, rank_countries(scores)["F"].tolist())) == {"AAA": 1, "BBB": 2}
+
+
+def test_scores_hold_read_only_copies_in_code_order():
+    index = {p: np.array([4.5, 2.0]) for p in "FOI"}
+    scores = FoiScores(2020, ["BBB", "AAA"], index)
+    assert scores.countries == ("AAA", "BBB")
+    assert [scores.index[p].tolist() for p in "FOI"] == [[2.0, 4.5]] * 3
+    # a later write to the caller's array does not move AAA out of cluster 1
+    index["F"][1] = 6.0
+    assert classify_epoch(scores)[0] == ClusterAssignment("AAA", 1)
+    with pytest.raises(ValueError, match="read-only"):
+        scores.index["F"][0] = 6.0
+
+
+@pytest.mark.parametrize("bad", [3, 1, 0])
+def test_scores_reject_an_index_that_is_not_one_value_per_country(bad):
+    index = {"F": np.full(2, 4.0), "O": np.full(bad, np.nan), "I": np.full(2, 4.0)}
+    with pytest.raises(DomainError) as exc:
+        FoiScores(2020, ["AAA", "BBB"], index)
+    assert str(exc.value) == f"O-index has shape ({bad},) for 2 countries"
+    with pytest.raises(DomainError, match=re.escape("I-index has shape (2, 1) for 2 countries")):
+        FoiScores(2020, ["AAA", "BBB"], index | {"O": np.full(2, 4.0), "I": np.full((2, 1), 4.0)})
 
 
 def test_ranks_are_permutations():

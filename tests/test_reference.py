@@ -1,6 +1,6 @@
 import pytest
 
-from foi.classify import CLUSTER_LEVELS, classify
+from foi.classify import CLUSTER_LABELS, CLUSTER_LEVELS, DEFAULT_THRESHOLD, classify
 from foi.errors import DomainError
 from foi.reference import ReferenceFixture, load_fixture, verify_reference
 
@@ -108,3 +108,65 @@ def test_mismatch_is_borderline_only_when_every_disagreeing_pillar_is(monkeypatc
     monkeypatch.setattr("foi.reference.load_fixture", lambda: fx)
     rep = verify_reference(2020)
     assert (rep.hard_mismatches, rep.borderline_mismatches) == (("AAA",), ("BBB",))
+
+
+# ---------------------------------------------------- the abstract's claims
+# PAPER.md's abstract, checked against the published indices and clusters
+# alone, under the fixed threshold rule (index >= t is high); README's
+# "The abstract's claims against the fixture" states the same figures
+
+
+def test_the_five_named_varieties_are_clusters_1_3_4_7_and_8():
+    assert sorted(CLUSTER_LABELS) == [1, 3, 4, 7, 8]
+    assert [CLUSTER_LEVELS[c] for c in sorted(CLUSTER_LABELS)] == [
+        ("L", "L", "L"), ("L", "H", "L"), ("L", "H", "H"), ("H", "H", "L"), ("H", "H", "H"),
+    ]
+
+
+def _crossings(t):
+    """Per pillar, the countries whose published index is on the other
+    side of ``t`` in 2020 than in 2010."""
+    fx = load_fixture()
+    return {
+        p: sum((fx.index_value(2010, c, p) >= t) != (fx.index_value(2020, c, p) >= t) for c in fx.countries)
+        for p in "FOI"
+    }
+
+
+@pytest.mark.parametrize("t, want", [
+    (3.9, {"F": 8, "O": 2, "I": 4}),
+    (4.0, {"F": 8, "O": 3, "I": 6}),
+    (4.05, {"F": 8, "O": 6, "I": 8}),
+    (4.1, {"F": 8, "O": 6, "I": 8}),
+])
+def test_green_growth_cut_off_is_the_pillar_most_countries_cross(t, want):
+    # "the most significant cut-off point ... was along the green growth
+    # dimension", read as: F is the pillar whose side of t changes for
+    # the most countries from 2010 to 2020. F leads at t <= 4.0 and ties
+    # with I above it
+    got = _crossings(t)
+    assert got == want
+    assert got["F"] == max(got.values())
+    assert (got["F"] > got["I"]) == (t <= 4.0)
+
+
+def test_estonia_leaves_the_middle_income_trap_by_any_reading():
+    # 3 (Dualistic) -> 7 (Government-led), computed and published alike,
+    # with every pillar at least 0.2 from the threshold
+    fx = load_fixture()
+    indices = {e: [fx.index_value(e, "EST", p) for p in "FOI"] for e in (2010, 2020)}
+    assert [fx.cluster(e, "EST") for e in (2010, 2020)] == [3, 7]
+    assert [classify(*indices[e]).cluster_id for e in (2010, 2020)] == [3, 7]
+    assert min(abs(v - DEFAULT_THRESHOLD) for e in indices for v in indices[e]) >= 0.2
+
+
+def test_israels_published_2010_cluster_is_not_the_one_its_indices_give():
+    # published 3 -> 8, but its 2010 I of 4.1 makes it cluster 4: one of
+    # verify's hard mismatches, so the 2010 half of the example rests on
+    # a published cluster its published indices do not give
+    fx = load_fixture()
+    assert [fx.cluster(e, "ISR") for e in (2010, 2020)] == [3, 8]
+    computed = [classify(*(fx.index_value(e, "ISR", p) for p in "FOI")).cluster_id for e in (2010, 2020)]
+    assert computed == [4, 8]
+    assert "ISR" in verify_reference(2010).hard_mismatches
+    assert "ISR" not in {m.country for m in verify_reference(2020).mismatches}

@@ -97,9 +97,9 @@ def _write_variables(path: Path, grid: list[list[float | None]]) -> str:
 def error_cases(data: Path) -> dict[str, list[str]]:
     """Name -> argv of each command that fails on an input written under
     ``data``: a correlation matrix made singular by a repeated column,
-    with no missing cell, under both deletion modes; a variable that is
-    0.4 or 2.5 on the complete rows alone; a manifest record with a bad
-    pillar; and an empty panel."""
+    exactly or to working precision, with no missing cell, under both
+    deletion modes; a variable that is 0.4 or 2.5 on the complete rows
+    alone; a manifest record with a bad pillar; and an empty panel."""
     rng = random.Random(1)
     # integer columns with integer means keep every sum exact: v3 repeats
     # v0, whose deviations (+-1) square to 36 = 6 ** 2, so r(v0, v3) is
@@ -108,7 +108,13 @@ def error_cases(data: Path) -> dict[str, list[str]]:
     for j in (1, 2):
         grid[0][j] -= sum(r[j] for r in grid) % 36
     singular = _write_variables(data / "singular.csv", [r + r[:1] for r in grid])
-    cases = {f"error-singular-{missing}": ["factors", "--panel", singular, "--missing", missing]
+    # v3 repeats v0 among gaussian columns: r(v0, v3) is 1 up to
+    # round-off, and R singular to working precision only
+    gauss = random.Random(1)
+    rows = [[gauss.gauss(0.0, 1.0) for _ in range(3)] for _ in range(40)]
+    repeated = _write_variables(data / "repeated.csv", [r + r[:1] for r in rows])
+    cases = {f"error-{name}-{missing}": ["factors", "--panel", path, "--missing", missing]
+             for name, path in (("singular", singular), ("repeated", repeated))
              for missing in ("pairwise", "listwise")}
     rows = [[rng.gauss(0.0, 1.0) for _ in range(3)] for _ in range(60)]
     for c in (0.4, 2.5):
